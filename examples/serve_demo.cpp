@@ -295,7 +295,10 @@ int main(int argc, char** argv) {
       }
     }
     for (auto& f : wave2) f.get();
-    std::cout << "(aot artifacts promoted; second wave served native)\n";
+    std::cout << (engine.cache_stats().native_failures == 0
+                      ? "(aot artifacts promoted; second wave served native)\n"
+                      : "(no native code was built: each member stays on the "
+                        "sliced interpreter)\n");
   }
 
   // SLO-aware admission: a deadline the queue can no longer meet is refused
@@ -325,8 +328,7 @@ int main(int argc, char** argv) {
             << rep.straggler_gap_p99_us << " us\n";
   const auto& by = rep.member_runs_by_backend;
   std::cout << "member runs by backend: " << by[0] << " scalar / " << by[1]
-            << " sliced / " << by[2] << " aot / " << by[3]
-            << " aot-threaded\n";
+            << " sliced / " << by[2] << " aot\n";
   if (engine.aot_enabled()) {
     const CacheStats cs = engine.cache_stats();
     std::cout << "aot: " << cs.native_compiles << " native compile(s), "

@@ -15,11 +15,6 @@ namespace lbnn::aot {
 
 namespace {
 
-bool env_set(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
-
 /// Unique-per-call suffix for compile scratch files: pid catches two engines
 /// sharing a directory, the counter catches two threads in one process.
 std::string scratch_suffix() {
@@ -52,8 +47,8 @@ void* load_verified(const std::string& path, const std::string& key,
 }
 
 /// Generate, compile out of process, and atomically publish the shared
-/// object at `so_path`. Returns false on any failure (the caller falls back
-/// to the threaded leg). The temp-name + rename() protocol makes concurrent
+/// object at `so_path`. Returns false on any failure (the artifact then
+/// carries no native code). The temp-name + rename() protocol makes concurrent
 /// builders safe: each publishes a complete file, last rename wins with
 /// identical bytes, and no reader ever dlopens a half-written artifact.
 bool build_native(const SlicedProgram& sp, const std::string& key,
@@ -88,44 +83,6 @@ bool build_native(const SlicedProgram& sp, const std::string& key,
   return true;
 }
 
-void build_threaded(ProgramArtifact& art) {
-  const kernels::KernelFn* word = kernels::word_table();
-  const kernels::KernelFn* avx2 = kernels::avx2_table();
-  if (avx2 == nullptr) avx2 = word;  // off x86 both tables are the word loop
-  // Truth table 0b1010 evaluates to operand A regardless of B: the row-copy
-  // shim, with B parked on the always-zero row.
-  constexpr std::uint8_t kCopyBits = 0xA;
-  art.threaded.clear();
-  art.threaded_wave_end.clear();
-  art.threaded_wave_end.reserve(art.sliced.compiled_waves);
-  std::size_t op = 0;
-  for (std::uint32_t w = 0; w < art.sliced.compiled_waves; ++w) {
-    const std::uint32_t end = art.sliced.wave_op_end[w];
-    for (; op < end; ++op) {
-      const SlicedOp& o = art.sliced.ops[op];
-      ProgramArtifact::ThreadedOp top;
-      if (o.kind == SlicedOp::kCompute) {
-        top.word = word[o.bits & 0xF];
-        top.avx2 = avx2[o.bits & 0xF];
-        top.a = o.a;
-        top.b = o.b;
-      } else if (o.kind == SlicedOp::kCopy) {
-        top.word = word[kCopyBits];
-        top.avx2 = avx2[kCopyBits];
-        top.a = o.a;
-        top.b = 0;
-      } else {
-        continue;  // kHook: no hook support in AOT backends
-      }
-      top.dst = o.dst;
-      art.threaded.push_back(top);
-    }
-    art.threaded_wave_end.push_back(
-        static_cast<std::uint32_t>(art.threaded.size()));
-  }
-  art.kind = BackendKind::kAotThreaded;
-}
-
 }  // namespace
 
 ProgramArtifact::DlHandle& ProgramArtifact::DlHandle::operator=(
@@ -158,52 +115,44 @@ ProgramArtifact compile_artifact(const Program& prog, const AotOptions& opt) {
   ProgramArtifact art;
   art.key = content_key(prog, opt.avx2);
   art.sliced = compile_sliced(prog);
-  // Threaded leg first, unconditionally: it is the whole artifact when
-  // native is unavailable AND the off-width fallback when native loads (the
-  // native code is specialized to the program's nominal row width).
-  build_threaded(art);
-  const std::size_t words = (prog.cfg.effective_word_width() + 63) / 64;
-
   const std::string cxx = aot_compiler();
-  const bool native_possible = opt.allow_native && !env_set("LBNN_AOT_THREADED") &&
-                               !cxx.empty() && !opt.artifact_dir.empty();
-  if (native_possible) {
-    const std::string so_path =
-        opt.artifact_dir + "/lbnn-" + art.key + ".so";
-    // Warm path: a previous process (or a sibling engine) already published
-    // this artifact. Trust nothing — a corrupted or truncated file fails the
-    // handshake, is unlinked, and falls through to a fresh compile.
-    const bool existed = ::access(so_path.c_str(), F_OK) == 0;
-    if (existed) {
-      if (void* h = load_verified(so_path, art.key, &art.run); h != nullptr) {
-        art.handle_ = ProgramArtifact::DlHandle(h);
-        art.kind = BackendKind::kAotNative;
-        art.so_path = so_path;
-        art.native_words = static_cast<std::uint32_t>(words);
-        art.from_disk = true;
-        return art;
-      }
-      ::unlink(so_path.c_str());
+  if (cxx.empty() || opt.artifact_dir.empty()) return art;
+
+  const std::size_t words = (prog.cfg.effective_word_width() + 63) / 64;
+  const std::string so_path = opt.artifact_dir + "/lbnn-" + art.key + ".so";
+  const auto adopt = [&](void* h, bool from_disk) {
+    art.handle_ = ProgramArtifact::DlHandle(h);
+    art.kind = BackendKind::kAotNative;
+    art.so_path = so_path;
+    art.native_words = static_cast<std::uint32_t>(words);
+    art.from_disk = from_disk;
+  };
+  // Warm path: a previous process (or a sibling engine) already published
+  // this artifact. Trust nothing — a corrupted or truncated file fails the
+  // handshake, is unlinked, and falls through to a fresh compile.
+  if (::access(so_path.c_str(), F_OK) == 0) {
+    if (void* h = load_verified(so_path, art.key, &art.run); h != nullptr) {
+      adopt(h, true);
+      return art;
     }
-    if (build_native(art.sliced, art.key, words, cxx, opt.avx2,
-                     opt.artifact_dir, so_path)) {
-      if (void* h = load_verified(so_path, art.key, &art.run); h != nullptr) {
-        art.handle_ = ProgramArtifact::DlHandle(h);
-        art.kind = BackendKind::kAotNative;
-        art.so_path = so_path;
-        art.native_words = static_cast<std::uint32_t>(words);
-        return art;
-      }
-    }
-    art.run = nullptr;
-    art.native_failed = true;  // requested and reachable, but failed
+    ::unlink(so_path.c_str());
   }
+  if (build_native(art.sliced, art.key, words, cxx, opt.avx2, opt.artifact_dir,
+                   so_path)) {
+    if (void* h = load_verified(so_path, art.key, &art.run); h != nullptr) {
+      adopt(h, false);
+      return art;
+    }
+  }
+  art.run = nullptr;
   return art;
 }
 
 AotExecutor::AotExecutor(const Program& prog,
                          std::shared_ptr<const ProgramArtifact> artifact)
-    : prog_(prog), artifact_(std::move(artifact)) {
+    : prog_(prog),
+      artifact_(std::move(artifact)),
+      replay_(LpuSimulator::resolve_kernel(true) == SimdKernel::kAvx2) {
   if (!artifact_) throw Error("AotExecutor requires an artifact");
   prog_.validate();
 }
@@ -211,98 +160,30 @@ AotExecutor::AotExecutor(const Program& prog,
 std::vector<BitVec> AotExecutor::run(const std::vector<BitVec>& inputs,
                                      const std::atomic<bool>* cancel) {
   const std::size_t width = validate_batch_inputs(prog_, inputs);
-  counters_ = SimCounters{};
-  counters_.wavefronts = prog_.num_wavefronts;
-
   const SlicedProgram& sp = artifact_->sliced;
   const std::size_t words = (width + 63) / 64;
-  // Zero only on (re)size — the replay stream never reads a row it has not
-  // written this run (row 0 stays the never-written zero row).
-  if (arena_.size() != static_cast<std::size_t>(sp.num_rows) * words) {
-    arena_.assign(static_cast<std::size_t>(sp.num_rows) * words, 0);
-  }
-  std::uint64_t* const arena = arena_.data();
-  const std::size_t num_in = prog_.input_layout.size();
-  for (std::size_t a = 0; a < num_in; ++a) {
-    const BitVec& src = inputs[prog_.input_layout[a]];
-    for (std::size_t w = 0; w < words; ++w) {
-      arena[(1 + a) * words + w] = src.word(w);
-    }
-  }
+  std::uint64_t* const arena = replay_.load(prog_, sp, inputs, words);
 
-  long cancelled_at = -2;
+  long stopped_at = -2;
   if (artifact_->run != nullptr && words == artifact_->native_words) {
     // The generated code polls the cancel byte between wavefronts. An
     // std::atomic<bool> is one byte of ordinary storage; the artifact reads
     // it as a volatile relaxed load — the same monotonic-flag protocol the
-    // interpreter's relaxed load uses.
+    // replay loop's relaxed load uses.
     static_assert(sizeof(std::atomic<bool>) == 1,
                   "AOT cancel ABI needs a byte-sized atomic<bool>");
     const volatile unsigned char* cancel_byte =
         cancel == nullptr
             ? nullptr
             : reinterpret_cast<const volatile unsigned char*>(cancel);
-    cancelled_at = artifact_->run(arena, words, cancel_byte);
+    stopped_at = artifact_->run(arena, words, cancel_byte);
   }
-  if (cancelled_at == -2) {
-    // Off-width batch (or a foreign artifact specialized elsewhere — the
-    // generated code returns -2 without executing anything): replay through
-    // the direct-threaded stream, which handles any width.
-    cancelled_at = -1;
-    // Direct-threaded leg: uniform indirect dispatch over prebuilt kernel
-    // pointers; word vs AVX2 member picked per run by batch width (below one
-    // full vector the AVX2 kernel is all tail anyway).
-    const bool wide = words >= 4;
-    const auto* ops = artifact_->threaded.data();
-    std::size_t op = 0;
-    for (std::uint32_t w = 0; w < sp.compiled_waves; ++w) {
-      if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-        cancelled_at = static_cast<long>(w);
-        break;
-      }
-      const std::uint32_t end = artifact_->threaded_wave_end[w];
-      for (; op < end; ++op) {
-        const ProgramArtifact::ThreadedOp& o = ops[op];
-        (wide ? o.avx2 : o.word)(arena + o.a * words, arena + o.b * words,
-                                 arena + o.dst * words, words);
-      }
-    }
+  // No native code, an off-width batch, or code specialized to another width
+  // (it returns -2 without executing anything): replay the stream.
+  if (stopped_at == -2) {
+    stopped_at = replay_.replay(prog_, sp, words, cancel, nullptr);
   }
-
-  const auto set_counters = [this](const CounterPrefix& c) {
-    counters_.input_reads = c.input_reads;
-    counters_.route_writes = c.route_writes;
-    counters_.lpe_computes = c.lpe_computes;
-    counters_.feedback_words = c.feedback_words;
-  };
-  if (cancelled_at >= 0) {
-    set_counters(sp.counters_at[static_cast<std::size_t>(cancelled_at)]);
-    throw SimCancelled("simulator run cancelled at wavefront " +
-                       std::to_string(cancelled_at));
-  }
-  if (sp.error) {
-    set_counters(sp.error_counters);
-    throw SimError(sp.error_msg);
-  }
-  set_counters(sp.counters_at[prog_.num_wavefronts]);
-  counters_.macro_cycles = prog_.macro_cycles();
-  counters_.clock_cycles = prog_.clock_cycles();
-  const double denom = static_cast<double>(prog_.num_wavefronts) *
-                       prog_.cfg.n * prog_.cfg.m;
-  counters_.lpe_utilization =
-      denom == 0 ? 0.0 : static_cast<double>(counters_.lpe_computes) / denom;
-
-  std::vector<BitVec> outputs(prog_.num_primary_outputs);
-  for (std::size_t po = 0; po < outputs.size(); ++po) {
-    BitVec v(width, false);
-    for (std::size_t w = 0; w < words; ++w) {
-      // set_word masks the tail word: bits past the batch width never
-      // reach the caller.
-      v.set_word(w, arena[(sp.out_row0 + po) * words + w]);
-    }
-    outputs[po] = std::move(v);
-  }
-  return outputs;
+  return replay_.finish(prog_, sp, stopped_at, width, counters_);
 }
 
 }  // namespace lbnn::aot

@@ -7,7 +7,7 @@
 
 #include "core/program.hpp"
 #include "lpu/backend.hpp"
-#include "lpu/kernels.hpp"
+#include "lpu/simulator.hpp"
 #include "lpu/sliced_program.hpp"
 
 namespace lbnn::aot {
@@ -15,64 +15,41 @@ namespace lbnn::aot {
 /// How to build an artifact. `artifact_dir` must exist and be writable; it
 /// is both the scratch space for codegen and the persistent disk cache —
 /// a later process pointed at the same directory reloads instead of
-/// recompiling (the warm-restart path).
+/// recompiling (the warm-restart path). Empty means no native code.
 struct AotOptions {
   std::string artifact_dir;
   /// Compile the artifact for AVX2 (auto-vectorized loops; part of the
   /// content key, so base and AVX2 artifacts coexist in one directory).
   bool avx2 = false;
-  /// false forces the direct-threaded leg even when a compiler is available
-  /// (LBNN_AOT_THREADED=1 has the same effect; CI pins the leg with it).
-  bool allow_native = true;
 };
 
-/// An AOT-compiled program: either a dlopen'd native shared object
-/// (kAotNative) or the portable direct-threaded fallback (kAotThreaded) used
-/// wherever spawning a compiler is unavailable or fails. Immutable once
-/// built; shared by every executor running the program (executors carry the
-/// per-run arena, the artifact carries only code and the replay-stream
-/// metadata). The embedded SlicedProgram provides the arena layout, counter
-/// prefixes, and error replay for both legs.
+/// A program's AOT artifact: its replay stream plus, when native codegen
+/// succeeded, a dlopen'd shared object (kind kAotNative). Where no compiler
+/// is available or any native step fails, the artifact carries no native
+/// code (kind kSliced) and an executor over it replays the stream exactly
+/// like the sliced interpreter. Immutable once built; shared by every
+/// executor running the program (executors carry the per-run arena, the
+/// artifact carries only code and the stream's metadata — arena layout,
+/// counter prefixes, error replay).
 class ProgramArtifact {
  public:
   using RunFn = long (*)(std::uint64_t* arena, unsigned long words,
                          const volatile unsigned char* cancel);
 
-  /// One direct-threaded op: uniform indirect dispatch, kernel resolved at
-  /// build time for both tables (the executor picks word vs AVX2 per run by
-  /// batch width). Row copies ride the same dispatch through the identity
-  /// kernel (truth table 0b1010 = "a", with b pointed at the zero row), so
-  /// the execution loop is a single call shape with no branching on op kind.
-  struct ThreadedOp {
-    kernels::KernelFn word;
-    kernels::KernelFn avx2;  ///< == word off x86
-    std::uint32_t a = 0;
-    std::uint32_t b = 0;
-    std::uint32_t dst = 0;
-  };
-
-  BackendKind kind = BackendKind::kAotThreaded;
+  BackendKind kind = BackendKind::kSliced;
   SlicedProgram sliced;
   std::string key;  ///< content key (also the on-disk base name)
 
-  // Native leg (kind == kAotNative).
+  // Native code (kind == kAotNative).
   RunFn run = nullptr;
   std::string so_path;
   /// The row width (in 64-bit words) the native code is specialized to —
   /// constant trip counts and constant row offsets are most of its edge over
   /// the interpreter. Off-width batches (a partial seal narrower than the
-  /// program's word_width) take the threaded leg below instead.
+  /// program's word_width) replay the stream instead.
   std::uint32_t native_words = 0;
   /// The artifact was reloaded from disk instead of compiled (warm restart).
   bool from_disk = false;
-
-  // Threaded leg: always built — it is the whole artifact when kind ==
-  // kAotThreaded, and the off-width fallback when kind == kAotNative.
-  std::vector<ThreadedOp> threaded;
-  std::vector<std::uint32_t> threaded_wave_end;  ///< per covered wavefront
-  /// Native was requested but codegen/compile/dlopen failed; this artifact is
-  /// the threaded fallback (the cache counts these as native_failures).
-  bool native_failed = false;
 
   ProgramArtifact() = default;
   ProgramArtifact(ProgramArtifact&&) = default;
@@ -95,9 +72,9 @@ class ProgramArtifact {
   friend ProgramArtifact compile_artifact(const Program&, const AotOptions&);
 };
 
-/// The compiler the native leg spawns: LBNN_AOT_CXX if set, else the
+/// The compiler native codegen spawns: LBNN_AOT_CXX if set, else the
 /// configure-time compiler CMake baked in, else empty (native unavailable —
-/// every artifact takes the threaded leg).
+/// every artifact is built without native code).
 std::string aot_compiler();
 
 /// Build (or reload) the artifact for `prog`:
@@ -109,15 +86,17 @@ std::string aot_compiler();
 ///      out of process into a unique temp name, and atomically rename into
 ///      place — concurrent builders (two engines sharing the directory)
 ///      each publish a complete file; last rename wins with identical bytes.
-///   3. Where native is unavailable (no compiler, LBNN_AOT_THREADED=1,
-///      allow_native=false) or any native step fails, fall back to the
-///      direct-threaded leg built in-process — AOT always succeeds.
+///   3. Where native is unavailable (no compiler, no artifact_dir) or any
+///      native step fails, return the artifact without native code (kind
+///      kSliced).
 /// Throws only on programmer error (never on a failed native build).
 ProgramArtifact compile_artifact(const Program& prog, const AotOptions& opt);
 
-/// Executes a program through its AOT artifact — the third and fourth
-/// backends behind the ExecutorBackend seam. Byte-exact with the
-/// interpreter by contract: same outputs, same counters (including partial
+/// Executes a program through its AOT artifact: the native entry point when
+/// the artifact has native code for the batch width, otherwise the same
+/// replay interpreter the bit-sliced LpuSimulator runs (SlicedReplay). The
+/// AOT backend behind the ExecutorBackend seam. Byte-exact with the scalar
+/// oracle by contract: same outputs, same counters (including partial
 /// counters after a cancel), same SimError messages at the same points, and
 /// SimCancelled at identical wavefront boundaries. Single-threaded like
 /// LpuSimulator (owns a per-run arena); the engine keeps one per
@@ -142,7 +121,7 @@ class AotExecutor : public ExecutorBackend {
   const Program& prog_;
   std::shared_ptr<const ProgramArtifact> artifact_;
   SimCounters counters_;
-  std::vector<std::uint64_t> arena_;
+  SlicedReplay replay_;
 };
 
 }  // namespace lbnn::aot

@@ -40,8 +40,8 @@ std::string content_key(const Program& prog, bool avx2);
 /// lbnn_aot_run executes the stream over an arena the host laid out exactly
 /// as SlicedProgram documents (row index * words). It returns -1 on
 /// completion, -2 when `words` is not the width the artifact was specialized
-/// for (nothing executed — the host falls back to the direct-threaded
-/// stream), or the wavefront index at which the cancel byte was observed
+/// for (nothing executed — the host replays the stream instead), or the
+/// wavefront index at which the cancel byte was observed
 /// set — the host then reports the same partial counters and SimCancelled
 /// message the interpreter would. Error replay (a stream truncated at a
 /// compile-time SimError) stays host-side: the generated code just runs the

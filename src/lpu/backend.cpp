@@ -12,8 +12,6 @@ const char* to_string(BackendKind k) {
       return "sliced";
     case BackendKind::kAotNative:
       return "aot";
-    case BackendKind::kAotThreaded:
-      return "aot-threaded";
   }
   return "?";
 }

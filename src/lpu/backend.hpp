@@ -1,6 +1,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -22,17 +23,19 @@ struct SimCounters {
   double lpe_utilization = 0.0;
 };
 
-/// Which executor implementation served a run. The first two are the
-/// interpreter's kernels (LpuSimulator); the AOT pair is the second-
-/// generation backend (src/aot/): native = dlopen'd straight-line code
-/// emitted per program, threaded = the portable direct-threaded-dispatch
-/// leg used wherever spawning a compiler is unavailable.
+/// Which executor implementation served a run: the scalar oracle, the
+/// sliced replay interpreter (LpuSimulator's bit-sliced kernels, or an AOT
+/// artifact without native code), or the dlopen'd straight-line code the
+/// AOT backend (src/aot/) emits per program.
 enum class BackendKind : std::uint8_t {
   kScalar = 0,
   kSliced = 1,
   kAotNative = 2,
-  kAotThreaded = 3,
 };
+
+/// Number of BackendKind values (the width of per-backend counter arrays).
+constexpr std::size_t kNumBackendKinds =
+    static_cast<std::size_t>(BackendKind::kAotNative) + 1;
 
 const char* to_string(BackendKind k);
 

@@ -31,9 +31,52 @@ enum class SimdKernel : std::uint8_t { kScalar, kWord64, kAvx2 };
 
 const char* to_string(SimdKernel k);
 
+/// Called once per (wavefront, lpv) with a non-empty instruction; tests use
+/// it to observe execution and to trip cancel flags mid-run.
+using InstrHook = std::function<void(std::uint32_t wavefront, std::uint32_t lpv,
+                                     const LpvInstr& instr)>;
+
+/// The one SlicedProgram replay interpreter and the arena it runs over. The
+/// bit-sliced LpuSimulator replays through it; the AOT executor runs its
+/// native entry point over the same arena and replays wherever that code
+/// does not apply (off-width batches, artifacts without native code). Arena
+/// load, counter restore, error replay and output unpack therefore exist
+/// once. Carries per-run scratch, so one instance per executor; the Program
+/// and its SlicedProgram are passed in, never owned.
+class SlicedReplay {
+ public:
+  /// `avx2`: batches of at least 4 words per row run the AVX2 kernel table
+  /// (pass true only when resolve_kernel picked SimdKernel::kAvx2).
+  explicit SlicedReplay(bool avx2) : avx2_(avx2) {}
+
+  /// Copy `inputs` into the input rows of an arena of `words`-word rows,
+  /// sized on first use or when the width changes. Returns the arena.
+  std::uint64_t* load(const Program& prog, const SlicedProgram& sp,
+                      const std::vector<BitVec>& inputs, std::size_t words);
+
+  /// The replay loop over the loaded arena: polls `cancel` before every
+  /// covered wavefront and calls `hook` (when non-null) at each kHook op.
+  /// Returns the wavefront at which the cancel was seen, or -1 when the
+  /// stream ran out — the AOT native entry point's contract.
+  long replay(const Program& prog, const SlicedProgram& sp, std::size_t words,
+              const std::atomic<bool>* cancel, const InstrHook* hook);
+
+  /// Close a run that stopped at `stopped_at` (-1: ran to the end of the
+  /// stream): write the counters the scalar oracle would report, then throw
+  /// SimCancelled or the stream's SimError, or unpack one BitVec of `width`
+  /// lanes per primary output.
+  std::vector<BitVec> finish(const Program& prog, const SlicedProgram& sp,
+                             long stopped_at, std::size_t width,
+                             SimCounters& counters) const;
+
+ private:
+  std::vector<std::uint64_t> arena_;
+  bool avx2_;
+};
+
 /// Cycle-level simulator of the LPU of Sec. IV — the interpreter backend
-/// pair (scalar oracle / bit-sliced) behind the ExecutorBackend seam; the
-/// AOT-compiled backends live in src/aot/.
+/// pair (scalar oracle / bit-sliced replay) behind the ExecutorBackend seam;
+/// the AOT-compiled backend lives in src/aot/.
 ///
 /// Models: per-LPE snapshot registers with hold semantics, the non-blocking
 /// multicast switch between adjacent LPVs (functional routing; the
@@ -48,14 +91,16 @@ const char* to_string(SimdKernel k);
 /// macro-cycle times and raise SimError when a program would have raced in
 /// real hardware.
 ///
-/// Execution kernels: by default (`simd` = true) runs bit-sliced — gate
-/// evaluation operates on packed 64-bit words across the full batch width in
-/// a flat scratch arena, AVX2 when the CPU has it (see SimdKernel). `simd` =
-/// false keeps the original scalar BitVec interpreter, which survives as the
-/// bit-exactness oracle for the differential tests. Environment overrides
-/// (read at construction): LBNN_FORCE_SCALAR forces the scalar kernel
-/// regardless of `simd`, LBNN_NO_AVX2 pins the bit-sliced path to the
-/// portable word-at-a-time loop — CI builds both legs.
+/// Execution paths: by default (`simd` = true) the program is lowered once
+/// at construction to its replay stream (sliced_program.hpp), and each run
+/// replays it bit-sliced — packed 64-bit words across the full batch width,
+/// AVX2 when the CPU has it (see SimdKernel). `simd` = false keeps the
+/// original scalar BitVec interpreter, which survives as the bit-exactness
+/// oracle for the differential tests and is the only path that honours a
+/// route oracle. Environment overrides (read at construction):
+/// LBNN_FORCE_SCALAR forces the scalar kernel regardless of `simd`,
+/// LBNN_NO_AVX2 pins the bit-sliced path to the portable word-at-a-time
+/// loop — CI builds both legs.
 class LpuSimulator : public ExecutorBackend {
  public:
   explicit LpuSimulator(const Program& program, bool simd = true);
@@ -77,16 +122,12 @@ class LpuSimulator : public ExecutorBackend {
   const SimCounters& counters() const override { return counters_; }
 
   BackendKind backend_kind() const override {
-    return kernel_ == SimdKernel::kScalar ? BackendKind::kScalar
-                                          : BackendKind::kSliced;
+    return kernel_ == SimdKernel::kScalar || oracle_ ? BackendKind::kScalar
+                                                     : BackendKind::kSliced;
   }
 
   /// The gate-evaluation kernel this instance resolved to at construction.
   SimdKernel kernel() const { return kernel_; }
-
-  /// The compiled replay stream (empty when scalar or LBNN_NO_FUSE) — the
-  /// AOT backend's codegen input when an executor is already at hand.
-  const SlicedProgram& sliced() const { return sliced_; }
 
   /// True when this CPU exposes AVX2 (always false off x86).
   static bool cpu_has_avx2();
@@ -95,11 +136,7 @@ class LpuSimulator : public ExecutorBackend {
   /// LBNN_NO_AVX2 is unset; otherwise the portable word kernel.
   static SimdKernel resolve_kernel(bool simd_requested);
 
-  /// Hook called once per (wavefront, lpv) with a non-empty instruction;
-  /// tests use it to push every route config through the staged switch
-  /// network model.
-  using InstrHook = std::function<void(std::uint32_t wavefront, std::uint32_t lpv,
-                                       const LpvInstr& instr)>;
+  /// See InstrHook; every kernel calls it at the same points.
   void set_instr_hook(InstrHook hook) { hook_ = std::move(hook); }
 
   /// Staged-switch mode: when set, every inter-LPV multicast assignment
@@ -107,7 +144,9 @@ class LpuSimulator : public ExecutorBackend {
   /// oracle instead of the functional route table; the oracle returns the
   /// source lane actually delivered to each destination slot. Tests plug the
   /// Beneš+copy fabric in here, so a routing bug in the staged hardware
-  /// model would surface as an output mismatch against the reference.
+  /// model would surface as an output mismatch against the reference. Routes
+  /// resolve per run, so a simulator with an oracle always runs the scalar
+  /// oracle, whatever its kernel.
   using RouteOracle =
       std::function<std::vector<std::uint32_t>(const std::vector<std::int32_t>&)>;
   void set_route_oracle(RouteOracle oracle) { oracle_ = std::move(oracle); }
@@ -116,13 +155,10 @@ class LpuSimulator : public ExecutorBackend {
   std::vector<BitVec> run_scalar(const std::vector<BitVec>& inputs,
                                  const std::atomic<bool>* cancel,
                                  std::size_t width);
-  std::vector<BitVec> run_sliced(const std::vector<BitVec>& inputs,
-                                 const std::atomic<bool>* cancel,
-                                 std::size_t width);
   std::vector<BitVec> run_compiled(const std::vector<BitVec>& inputs,
                                    const std::atomic<bool>* cancel,
                                    std::size_t width);
-  /// Staged-switch resolution shared by both kernels (see set_route_oracle).
+  /// Staged-switch resolution of one instruction (see set_route_oracle).
   std::vector<std::uint32_t> resolve_staged(const LpvInstr& instr) const;
 
   const Program& prog_;
@@ -130,35 +166,10 @@ class LpuSimulator : public ExecutorBackend {
   InstrHook hook_;
   RouteOracle oracle_;
   SimdKernel kernel_;
-  /// Fused switch delivery in the bit-sliced path (compute results land
-  /// directly in the next LPV's register rows — the compiled replay stream).
-  /// LBNN_NO_FUSE (read at construction) turns it off, materializing
-  /// lane-output rows like the staged-oracle path does — a debug/differential
-  /// knob.
-  bool fuse_ = true;
   /// The program lowered to its flat replay stream (see sliced_program.hpp),
-  /// built once at construction when the compiled path is live.
+  /// built once at construction unless the kernel is scalar.
   SlicedProgram sliced_;
-  /// Flat scratch arena of the bit-sliced kernels: every datapath row
-  /// (input buffer, snapshot registers, inter-LPV lane outputs, primary
-  /// outputs, and one always-zero row) is `words_per_row` packed 64-bit
-  /// words. Sized once per (program, width) and reused across runs — the
-  /// hot loop never allocates.
-  std::vector<std::uint64_t> arena_;
-  /// Growable feedback region (rows appended on first write to an address);
-  /// separate from arena_ so growth cannot invalidate hot-loop pointers.
-  std::vector<std::uint64_t> fb_arena_;
-  /// Bit-sliced run scratch sized at construction (program-shaped, width-
-  /// independent), reset cheaply per run instead of reallocated: validity
-  /// flags, the dense feedback tables (offset/write-time per address), and
-  /// output taps bucketed by wavefront.
-  std::vector<char> reg_valid_;
-  std::vector<char> prev_valid_;
-  std::vector<char> cur_valid_;
-  std::vector<char> output_set_;
-  std::vector<std::ptrdiff_t> fb_offset_;
-  std::vector<std::uint64_t> fb_time_;
-  std::vector<std::vector<const OutputTap*>> taps_at_;
+  SlicedReplay replay_;
 };
 
 /// Bitwise evaluation of a 2-input LUT over packed words.

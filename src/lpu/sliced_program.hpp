@@ -35,11 +35,11 @@ struct CounterPrefix {
 };
 
 /// The Program lowered to its flat replay stream — the shared IR behind
-/// every non-scalar executor backend: the sliced interpreter replays it
-/// (LpuSimulator::run_compiled), the AOT backend's direct-threaded leg
-/// pre-resolves its kernel pointers, and the AOT native codegen
-/// (src/aot/codegen.cpp) lowers it to straight-line C++. One lowering, three
-/// executors, identical observable semantics by construction.
+/// every non-scalar executor backend: the replay interpreter runs it
+/// (SlicedReplay, behind both the bit-sliced LpuSimulator and the AOT
+/// executor's replay), and the AOT native codegen (src/aot/codegen.cpp)
+/// lowers it to straight-line C++. One lowering, two executors, identical
+/// observable semantics by construction.
 ///
 /// Arena row layout (row 0 first so operand indices can resolve before the
 /// feedback row count is known):

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <sstream>
@@ -34,11 +33,6 @@ struct ShardWindow {
   std::uint64_t shed = 0;
   std::uint64_t completed = 0;
 };
-
-bool env_set(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && v[0] != '\0';
-}
 
 /// One artifact directory for the whole fleet, so replica shards share
 /// content-keyed native artifacts: the first shard to finish codegen for a
@@ -171,12 +165,10 @@ Router::Router(const RouterOptions& options)
   // When AOT is on and the caller named no artifact_dir, give every shard ONE
   // shared directory instead of letting each Engine make a private one: a
   // model replicated across shards then pays for codegen once and the other
-  // replicas warm-load the .so from disk. The gate mirrors the Engine's own
-  // enablement so we never create a directory no shard will use.
-  const bool aot_on = (options_.engine.aot || env_set("LBNN_FORCE_AOT")) &&
-                      !env_set("LBNN_NO_AOT") && options_.engine.simd &&
-                      !env_set("LBNN_FORCE_SCALAR");
-  if (aot_on && options_.engine.artifact_dir.empty()) {
+  // replicas warm-load the .so from disk. The gate is the Engine's own
+  // enablement predicate, so we never create a directory no shard will use.
+  if (Engine::resolve_aot(options_.engine) &&
+      options_.engine.artifact_dir.empty()) {
     options_.engine.artifact_dir = make_fleet_artifact_dir();
     own_artifact_dir_ = true;
   }

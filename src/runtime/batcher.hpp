@@ -57,7 +57,7 @@ struct MemberSlot {
   bool stolen = false;        ///< executed by a worker other than the batch claimer
   bool hedge_won = false;     ///< the winning executor was the hedge duplicate
   /// BackendKind the winning executor ran (see lpu/backend.hpp) — scalar or
-  /// sliced interpreter before an AOT promotion, native/threaded after it.
+  /// sliced interpreter before an AOT promotion, native after it.
   std::uint8_t backend = 0;
   std::uint64_t service_us = 0;  ///< winner's simulator (+ member hook) service time
   std::int64_t done_at_us = 0;   ///< completion stamp; straggler gap = max - min

@@ -359,12 +359,7 @@ Engine::Engine(const EngineOptions& options)
     tracer_ = std::make_unique<Tracer>(workers, options_.trace_ring_capacity,
                                        *clock_);
   }
-  // AOT needs the sliced-stream compiler: with simd off (or pinned off via
-  // LBNN_FORCE_SCALAR) the engine serves the scalar oracle and artifacts
-  // would diverge from the configured baseline, so the option is ignored.
-  aot_enabled_ = (options_.aot || env_set("LBNN_FORCE_AOT")) &&
-                 !env_set("LBNN_NO_AOT") && options_.simd &&
-                 !env_set("LBNN_FORCE_SCALAR");
+  aot_enabled_ = resolve_aot(options_);
   if (aot_enabled_) {
     aot_avx2_ = kernels::cpu_has_avx2() && !env_set("LBNN_NO_AVX2");
     if (!options_.artifact_dir.empty()) {
@@ -500,6 +495,15 @@ void Engine::spawn_aot_jobs(std::shared_ptr<ModelState> state) {
   });
 }
 
+bool Engine::resolve_aot(const EngineOptions& options) {
+  // AOT needs the sliced-stream compiler: with simd off (or pinned off via
+  // LBNN_FORCE_SCALAR) the engine serves the scalar oracle and artifacts
+  // would diverge from the configured baseline, so the option is ignored.
+  return (options.aot || env_set("LBNN_FORCE_AOT")) &&
+         !env_set("LBNN_NO_AOT") && options.simd &&
+         !env_set("LBNN_FORCE_SCALAR");
+}
+
 void Engine::aot_build_model(ModelState& m) {
   aot::AotOptions opt;
   opt.artifact_dir = artifact_dir_;
@@ -516,15 +520,17 @@ void Engine::aot_build_model(ModelState& m) {
       // never a liveness dependency.
       continue;
     }
+    // Promote only to native code. An artifact without it (no compiler, or a
+    // failed codegen — counted in CacheStats::native_failures) would replay
+    // the same stream the member's sliced interpreter already runs.
+    if (art->kind != BackendKind::kAotNative) continue;
     const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
                         clock_->now() - t0)
                         .count();
-    std::atomic_store(&m.members[i].artifact, art);
+    std::atomic_store(&m.members[i].artifact, std::move(art));
     emit_trace(Tracer::kSharedTrack, TraceEventType::kPromote, m.id, 0,
                static_cast<std::uint32_t>(i),
-               us > 0 ? static_cast<std::uint64_t>(us) : 0,
-               art->kind == BackendKind::kAotNative ? kTraceFlagNative
-                                                    : std::uint8_t{0});
+               us > 0 ? static_cast<std::uint64_t>(us) : 0, kTraceFlagNative);
   }
 }
 
@@ -1348,8 +1354,7 @@ void Engine::run_member(BatchWork& work, std::size_t member_index, bool stolen,
     if (hedge) flags |= kTraceFlagHedge;
     if (skip) flags |= kTraceFlagSkipped;
     if (slot.ran &&
-        (slot.backend == static_cast<std::uint8_t>(BackendKind::kAotNative) ||
-         slot.backend == static_cast<std::uint8_t>(BackendKind::kAotThreaded))) {
+        slot.backend == static_cast<std::uint8_t>(BackendKind::kAotNative)) {
       flags |= kTraceFlagNative;
     }
     emit_trace(ctx.track, TraceEventType::kMemberDone, work.model->id, work.seq,

@@ -164,13 +164,14 @@ struct EngineOptions {
   /// kicks off a background codegen job (overlapping serving — requests run
   /// on the bit-sliced interpreter meanwhile) that lowers every member's
   /// replay stream to straight-line native code, compiles it out of process,
-  /// and dlopens the artifact; where that is unavailable or fails, a portable
-  /// direct-threaded artifact is built instead. Once an artifact is ready the
-  /// member PROMOTES to it atomically between runs — zero dropped or
-  /// double-executed requests, bit-exact outputs/counters/errors either way.
-  /// Requires simd (artifacts execute the sliced stream); LBNN_FORCE_AOT=1
-  /// forces this on, LBNN_NO_AOT=1 forces it off, LBNN_AOT_THREADED=1 pins
-  /// the threaded leg, LBNN_AOT_CXX overrides the spawned compiler.
+  /// and dlopens the artifact. Once native code is ready the member PROMOTES
+  /// to it atomically between runs — zero dropped or double-executed
+  /// requests, bit-exact outputs/counters/errors either way. Where no
+  /// compiler is available or codegen fails, the member stays on the sliced
+  /// interpreter (counted in CacheStats::native_failures). Requires simd
+  /// (artifacts execute the sliced stream); LBNN_FORCE_AOT=1 forces this on,
+  /// LBNN_NO_AOT=1 forces it off, LBNN_AOT_CXX overrides the spawned
+  /// compiler. See Engine::resolve_aot.
   bool aot = false;
   /// AOT artifact directory: codegen scratch plus the content-keyed disk
   /// cache. A restarted (or sibling) engine pointed at the same directory
@@ -358,13 +359,17 @@ class Engine {
   std::size_t in_flight() const;
 
   /// Block until every background AOT codegen job spawned by loads so far
-  /// has finished (each member either promoted to its artifact or fell back
-  /// to the threaded leg). Immediate when AOT is off. Tests and benches pin
-  /// the promotion instant with this instead of sleeping.
+  /// has finished (each member either promoted to native code or stayed on
+  /// the sliced interpreter). Immediate when AOT is off. Tests and benches
+  /// pin the promotion instant with this instead of sleeping.
   void wait_aot_ready();
-  /// Whether loads spawn AOT codegen (EngineOptions::aot / LBNN_FORCE_AOT,
-  /// minus the LBNN_NO_AOT and scalar-pin overrides).
+  /// Whether loads spawn AOT codegen: resolve_aot(options) at construction.
   bool aot_enabled() const { return aot_enabled_; }
+  /// The one AOT-enablement predicate: EngineOptions::aot or LBNN_FORCE_AOT,
+  /// unless LBNN_NO_AOT is set or the engine serves the scalar oracle
+  /// (simd off or LBNN_FORCE_SCALAR). The Router asks it too before it
+  /// creates a fleet-wide artifact directory.
+  static bool resolve_aot(const EngineOptions& options);
   /// The resolved artifact directory; empty when AOT is off.
   const std::string& artifact_dir() const { return artifact_dir_; }
 
@@ -477,7 +482,8 @@ class Engine {
   /// late promotion just lands on a model nobody serves anymore.
   void spawn_aot_jobs(std::shared_ptr<ModelState> state);
   /// The job body: per member, build (or reload) the artifact through the
-  /// program cache and promote the member to it via an atomic store.
+  /// program cache and, when it carries native code, promote the member to
+  /// it via an atomic store.
   void aot_build_model(ModelState& m);
   void finalize(BatchWork& work, std::size_t track);
   void release_requests(std::size_t n);

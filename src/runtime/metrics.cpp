@@ -118,8 +118,8 @@ std::string to_prometheus(const std::vector<LabelledReport>& shards) {
           [](R r) { return r.deadline_met; });
   counter("lbnn_member_runs_total", "Member work items executed",
           [](R r) { return r.member_runs; });
-  // Member runs split by executor backend: the interpreter columns drain and
-  // the AOT columns fill as members promote mid-traffic.
+  // Member runs split by executor backend: the sliced column drains and the
+  // aot column fills as members promote mid-traffic.
   os << "# HELP lbnn_member_runs_backend_total Member runs per executor backend\n";
   os << "# TYPE lbnn_member_runs_backend_total counter\n";
   for (std::size_t i = 0; i < shards.size(); ++i) {

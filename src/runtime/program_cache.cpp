@@ -198,12 +198,13 @@ std::shared_ptr<const aot::ProgramArtifact> ProgramCache::get_or_build_native(
         aot::ProgramArtifact art = aot::compile_artifact(prog, opt);
         {
           std::lock_guard<std::mutex> lk(mu_);
-          if (art.from_disk) {
+          if (art.kind != BackendKind::kAotNative) {
+            ++stats_.native_failures;
+          } else if (art.from_disk) {
             ++stats_.native_disk_hits;
           } else {
             ++stats_.native_compiles;
           }
-          if (art.native_failed) ++stats_.native_failures;
         }
         return art;
       });

@@ -26,12 +26,13 @@ struct CacheStats {
   std::uint64_t misses = 0;
   std::uint64_t evictions = 0;  ///< LRU pressure plus explicit erase()
   std::size_t entries = 0;
-  /// AOT artifact admission (get_or_build_native). Together these three count
+  /// AOT artifact admission (get_or_build_native). These three partition
   /// every artifact build that actually ran (in-flight joins and LRU hits are
   /// folded into hits/misses above like any other entry):
-  std::uint64_t native_compiles = 0;   ///< built fresh (cold codegen ran)
+  std::uint64_t native_compiles = 0;   ///< native code compiled fresh
   std::uint64_t native_disk_hits = 0;  ///< reloaded from artifact_dir (warm restart)
-  std::uint64_t native_failures = 0;   ///< native requested but fell back to threaded
+  /// Built without native code: no compiler, or codegen/compile/dlopen failed.
+  std::uint64_t native_failures = 0;
 };
 
 /// Fingerprint-keyed LRU cache of compiled programs, so repeated loads of the
@@ -72,7 +73,8 @@ class ProgramCache {
   /// parallel. Keyed by the artifact content key (serialized program + ABI +
   /// ISA — see aot::content_key), so two Programs with identical text share
   /// one artifact. Never throws on a failed native build: the result is then
-  /// the direct-threaded fallback (counted in CacheStats::native_failures).
+  /// an artifact without native code (kind kSliced, counted in
+  /// CacheStats::native_failures), which the engine never promotes to.
   std::shared_ptr<const aot::ProgramArtifact> get_or_build_native(
       const Program& prog, const aot::AotOptions& opt,
       std::uint64_t* key_out = nullptr);

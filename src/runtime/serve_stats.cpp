@@ -71,13 +71,13 @@ void ModelStats::on_members_done(const std::vector<MemberSlot>& slots) {
   std::uint64_t ran = 0;
   std::uint64_t stolen = 0;
   std::uint64_t hedge_won = 0;
-  std::array<std::uint64_t, 4> by_backend{};
+  std::array<std::uint64_t, kNumBackendKinds> by_backend{};
   for (const MemberSlot& slot : slots) {
     if (!slot.ran) continue;
     ++ran;
     if (slot.stolen) ++stolen;
     if (slot.hedge_won) ++hedge_won;
-    ++by_backend[slot.backend & 3];
+    ++by_backend[slot.backend];
   }
   if (ran == 0) return;
   std::lock_guard<std::mutex> lk(mu_);
@@ -223,7 +223,7 @@ void ServeStats::on_members_done(const std::vector<MemberSlot>& slots) {
   std::uint64_t ran = 0;
   std::uint64_t stolen = 0;
   std::uint64_t hedge_won = 0;
-  std::array<std::uint64_t, 4> by_backend{};
+  std::array<std::uint64_t, kNumBackendKinds> by_backend{};
   std::int64_t first_done = 0;
   std::int64_t last_done = 0;
   for (const MemberSlot& slot : slots) {
@@ -233,7 +233,7 @@ void ServeStats::on_members_done(const std::vector<MemberSlot>& slots) {
     ++ran;
     if (slot.stolen) ++stolen;
     if (slot.hedge_won) ++hedge_won;
-    ++by_backend[slot.backend & 3];
+    ++by_backend[slot.backend];
   }
   if (ran == 0) return;
   std::lock_guard<std::mutex> lk(mu_);

@@ -87,9 +87,9 @@ struct ModelReport {
   /// assembly member per batch that ran).
   std::uint64_t member_runs = 0;
   /// member_runs split by executor backend, indexed by lbnn::BackendKind
-  /// (scalar, sliced, aot, aot-threaded). A mid-traffic AOT promotion shows
-  /// up as counts moving from the interpreter column to an AOT one.
-  std::array<std::uint64_t, 4> member_runs_by_backend{};
+  /// (scalar, sliced, aot). A mid-traffic AOT promotion shows up as counts
+  /// moving from the sliced column to the aot one.
+  std::array<std::uint64_t, kNumBackendKinds> member_runs_by_backend{};
   /// Member work items executed by a worker that did NOT dequeue the batch —
   /// idle-worker stealing hiding a straggler member.
   std::uint64_t steals = 0;
@@ -136,7 +136,7 @@ struct ServeReport {
   std::uint64_t member_runs = 0;
   std::uint64_t steals = 0;
   /// member_runs split by executor backend (see ModelReport).
-  std::array<std::uint64_t, 4> member_runs_by_backend{};
+  std::array<std::uint64_t, kNumBackendKinds> member_runs_by_backend{};
   /// Straggler-hedging ledger (see ModelReport for field semantics). The
   /// invariant hedge_wins <= hedges_launched <= member_runs holds whenever
   /// every hedged member actually executes (no failures/expiry skips).
@@ -220,7 +220,7 @@ class ModelStats {
   std::uint64_t expired_ = 0;
   std::uint64_t deadline_met_ = 0;
   std::uint64_t member_runs_ = 0;
-  std::array<std::uint64_t, 4> member_runs_by_backend_{};
+  std::array<std::uint64_t, kNumBackendKinds> member_runs_by_backend_{};
   std::uint64_t steals_ = 0;
   std::uint64_t hedges_launched_ = 0;
   std::uint64_t hedge_wins_ = 0;
@@ -287,7 +287,7 @@ class ServeStats {
   std::uint64_t expired_ = 0;
   std::uint64_t deadline_met_ = 0;
   std::uint64_t member_runs_ = 0;
-  std::array<std::uint64_t, 4> member_runs_by_backend_{};
+  std::array<std::uint64_t, kNumBackendKinds> member_runs_by_backend_{};
   std::uint64_t steals_ = 0;
   std::uint64_t hedges_launched_ = 0;
   std::uint64_t hedge_wins_ = 0;

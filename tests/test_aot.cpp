@@ -1,14 +1,16 @@
 // AOT executor backend suite.
 //
-// Three layers under test. (1) Backend equivalence: the native and
-// direct-threaded AOT artifacts are bit-exact with the scalar oracle —
-// outputs, counters (including the partial prefix after a cancel), SimError
-// messages, and the wavefront boundary SimCancelled lands on. (2) Artifact
-// lifecycle: content-keyed disk cache, warm restarts with ZERO recompiles,
-// corrupted/truncated artifacts rejected and rebuilt, concurrent builders
-// sharing one directory. (3) Serving integration: background codegen
-// overlapping live traffic, atomic mid-run promotion with zero dropped or
-// double-executed requests, unload racing in-flight codegen, and fleet-wide
+// Three layers under test. (1) Backend equivalence: the AOT executor is
+// bit-exact with the scalar oracle — outputs, counters (including the
+// partial prefix after a cancel), SimError messages, and the wavefront
+// boundary SimCancelled lands on — on its native entry point, on the replay
+// it falls back to for off-width batches, and over an artifact without
+// native code. (2) Artifact lifecycle: content-keyed disk cache, warm
+// restarts with ZERO recompiles, corrupted/truncated artifacts rejected and
+// rebuilt, concurrent builders sharing one directory. (3) Serving
+// integration: background codegen overlapping live traffic, atomic mid-run
+// promotion with zero dropped or double-executed requests, a failed codegen
+// that never promotes, unload racing in-flight codegen, and fleet-wide
 // artifact sharing through the Router.
 //
 // Zero real sleeps anywhere: promotion instants are pinned with
@@ -68,14 +70,37 @@ class TempDir {
   std::string path_;
 };
 
-/// True when this process can take the native leg: a compiler is reachable
-/// and no env pin forces the threaded fallback. CI's threaded matrix leg
-/// sets LBNN_AOT_THREADED=1; native-only assertions skip there.
-bool native_reachable() {
-  const char* pin = std::getenv("LBNN_AOT_THREADED");
-  if (pin != nullptr && pin[0] != '\0' && pin[0] != '0') return false;
-  return !aot::aot_compiler().empty();
-}
+/// True when this process can build native code: a compiler is reachable.
+/// Native-only assertions skip without one.
+bool native_reachable() { return !aot::aot_compiler().empty(); }
+
+/// Scoped environment override, restoring the previous value on exit (gtest
+/// runs tests in one thread; the AOT layer reads LBNN_AOT_CXX per build, so
+/// the override must outlive every codegen job it is meant to steer).
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* v = std::getenv(name)) {
+      saved_ = v;
+      had_ = true;
+    }
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (had_) {
+      ::setenv(name_, saved_.c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::string saved_;
+  bool had_ = false;
+};
 
 struct AotCase {
   Netlist nl;
@@ -116,9 +141,11 @@ void expect_counters_eq(const SimCounters& want, const SimCounters& got) {
   EXPECT_EQ(want.macro_cycles, got.macro_cycles);
 }
 
-/// Diff one artifact leg against the scalar oracle across widths that
-/// straddle the word boundary, checking outputs (also vs the netlist-level
-/// reference) and the full counter set.
+/// Diff one artifact against the scalar oracle across widths that straddle
+/// the word boundary, checking outputs (also vs the netlist-level reference)
+/// and the full counter set. On a native artifact the widths cover both the
+/// native entry point (the program's nominal width, 1 word here) and the
+/// off-width replay.
 void diff_artifact(const AotCase& c,
                    std::shared_ptr<const aot::ProgramArtifact> art,
                    std::uint64_t rng_seed) {
@@ -143,12 +170,12 @@ void run_aot_diff_round(std::uint64_t seed) {
   TempDir dir("diff");
   const AotCase c = random_case(seed);
 
-  aot::AotOptions topt;
-  topt.allow_native = false;  // pin the direct-threaded leg
-  auto threaded = std::make_shared<const aot::ProgramArtifact>(
-      aot::compile_artifact(c.res.program, topt));
-  ASSERT_EQ(threaded->kind, BackendKind::kAotThreaded);
-  diff_artifact(c, threaded, seed ^ 0x9e3779b97f4a7c15ull);
+  // No artifact_dir: an artifact without native code, which the executor
+  // replays at every width.
+  auto sliced = std::make_shared<const aot::ProgramArtifact>(
+      aot::compile_artifact(c.res.program, aot::AotOptions{}));
+  ASSERT_EQ(sliced->kind, BackendKind::kSliced);
+  diff_artifact(c, sliced, seed ^ 0x9e3779b97f4a7c15ull);
 
   if (native_reachable()) {
     aot::AotOptions nopt;
@@ -168,9 +195,10 @@ TEST(AotDiff, FuzzSeed2) { run_aot_diff_round(72); }
 TEST(AotDiff, FuzzSeed3) { run_aot_diff_round(73); }
 
 // Feedback-band programs lower to dedicated arena rows in the replay
-// stream; the AOT legs must replay them exactly (see
+// stream; the native code must execute them exactly (see
 // SimdDiff.FeedbackPathPrograms for the interpreter-side twin).
 TEST(AotDiff, FeedbackPathPrograms) {
+  if (!native_reachable()) GTEST_SKIP() << "no native compiler reachable";
   TempDir dir("feedback");
   Rng gen(31);
   const Netlist nl = random_tree(48, gen);
@@ -180,20 +208,12 @@ TEST(AotDiff, FeedbackPathPrograms) {
   AotCase c{nl, compile(nl, opt)};
   ASSERT_GT(c.res.report.bands, 1u) << "case no longer exercises feedback";
 
-  aot::AotOptions topt;
-  topt.allow_native = false;
-  diff_artifact(c,
-                std::make_shared<const aot::ProgramArtifact>(
-                    aot::compile_artifact(c.res.program, topt)),
-                32);
-  if (native_reachable()) {
-    aot::AotOptions nopt;
-    nopt.artifact_dir = dir.path();
-    diff_artifact(c,
-                  std::make_shared<const aot::ProgramArtifact>(
-                      aot::compile_artifact(c.res.program, nopt)),
-                  32);
-  }
+  aot::AotOptions nopt;
+  nopt.artifact_dir = dir.path();
+  auto native = std::make_shared<const aot::ProgramArtifact>(
+      aot::compile_artifact(c.res.program, nopt));
+  ASSERT_EQ(native->kind, BackendKind::kAotNative);
+  diff_artifact(c, native, 32);
 }
 
 // The nightly sweep hook, same contract as SimdDiff.EnvSeedSweep.
@@ -209,17 +229,23 @@ TEST(AotDiff, EnvSeedSweep) {
 }
 
 // A pre-set cancel flag must land as SimCancelled at wavefront 0 with the
-// interpreter's exact message and an all-zero counter prefix — from every
-// AOT leg. (Mid-run flips are poll-timing dependent; the boundary contract
-// itself is deterministic at wavefront 0, and the counter-prefix tables the
-// legs read are the same ones the interpreter diff already pins per-wave.)
+// interpreter's exact message and an all-zero counter prefix — from the
+// native entry point and from the off-width replay. (Mid-run flips are
+// poll-timing dependent; the boundary contract itself is deterministic at
+// wavefront 0, and the counter-prefix tables both read are the same ones
+// the interpreter diff already pins per-wave.)
 TEST(AotDiff, CancelLandsAtSameWavefrontBoundary) {
   TempDir dir("cancel");
   const AotCase c = random_case(71);
   Rng rng(42);
+  // 96 lanes is off-width for the native code (specialized to the nominal
+  // 1-word rows); the nominal width runs the native entry point.
   const std::vector<BitVec> in = random_inputs(c.nl, 96, rng);
+  const std::vector<BitVec> nominal = random_inputs(
+      c.nl, c.res.program.cfg.effective_word_width(), rng);
 
-  auto cancelled_what = [&](ExecutorBackend& exec) {
+  auto cancelled_what = [&](ExecutorBackend& exec,
+                            const std::vector<BitVec>& in) {
     std::atomic<bool> cancel{true};
     std::string what;
     try {
@@ -237,15 +263,8 @@ TEST(AotDiff, CancelLandsAtSameWavefrontBoundary) {
   };
 
   LpuSimulator scalar(c.res.program, /*simd=*/false);
-  const std::string want = cancelled_what(scalar);
+  const std::string want = cancelled_what(scalar, in);
   EXPECT_NE(want.find("wavefront 0"), std::string::npos) << want;
-
-  aot::AotOptions topt;
-  topt.allow_native = false;
-  auto threaded = std::make_shared<const aot::ProgramArtifact>(
-      aot::compile_artifact(c.res.program, topt));
-  aot::AotExecutor texec(c.res.program, threaded);
-  EXPECT_EQ(cancelled_what(texec), want);
 
   if (native_reachable()) {
     aot::AotOptions nopt;
@@ -254,14 +273,17 @@ TEST(AotDiff, CancelLandsAtSameWavefrontBoundary) {
         aot::compile_artifact(c.res.program, nopt));
     ASSERT_EQ(native->kind, BackendKind::kAotNative);
     aot::AotExecutor nexec(c.res.program, native);
-    EXPECT_EQ(cancelled_what(nexec), want);
+    EXPECT_EQ(cancelled_what(nexec, nominal), want);  // native entry point
+    EXPECT_EQ(cancelled_what(nexec, in), want);       // off-width replay
   }
 }
 
-// Invalid programs: the sliced stream truncates at the fault and replays the
-// SimError mid-run; both AOT legs must surface the scalar oracle's exact
-// message. (Same bad-program family as SimdDiff.ErrorMessagesMatchAcrossKernels.)
+// Invalid programs: the sliced stream truncates at the fault and the host
+// replays the SimError after the native code ran the covered wavefronts; it
+// must surface the scalar oracle's exact message. (Same bad-program family
+// as SimdDiff.ErrorMessagesMatchAcrossKernels, which covers the replay.)
 TEST(AotDiff, ErrorMessagesMatchScalar) {
+  if (!native_reachable()) GTEST_SKIP() << "no native compiler reachable";
   Program p;
   p.cfg.m = 2;
   p.cfg.n = 2;
@@ -293,24 +315,19 @@ TEST(AotDiff, ErrorMessagesMatchScalar) {
     }
     ASSERT_FALSE(scalar_what.empty()) << "scalar run did not throw";
 
-    auto aot_what = [&](bool allow_native) -> std::string {
-      aot::AotOptions opt;
-      opt.allow_native = allow_native;
-      if (allow_native) opt.artifact_dir = dir.path();
-      auto art = std::make_shared<const aot::ProgramArtifact>(
-          aot::compile_artifact(bad, opt));
-      aot::AotExecutor exec(bad, art);
-      try {
-        exec.run({BitVec(8), BitVec(8)});
-      } catch (const SimError& e) {
-        return e.what();
-      }
-      return std::string();
-    };
-    EXPECT_EQ(aot_what(false), scalar_what);
-    if (native_reachable()) {
-      EXPECT_EQ(aot_what(true), scalar_what);
+    aot::AotOptions opt;
+    opt.artifact_dir = dir.path();
+    auto art = std::make_shared<const aot::ProgramArtifact>(
+        aot::compile_artifact(bad, opt));
+    ASSERT_EQ(art->kind, BackendKind::kAotNative);
+    aot::AotExecutor exec(bad, art);
+    std::string native_what;
+    try {
+      exec.run({BitVec(8), BitVec(8)});
+    } catch (const SimError& e) {
+      native_what = e.what();
     }
+    EXPECT_EQ(native_what, scalar_what);
   };
 
   {
@@ -364,9 +381,9 @@ TEST(AotArtifact, WarmReloadFromDisk) {
 }
 
 // The native code is specialized to the program's nominal row width; a batch
-// sealed narrower (partial seal) must transparently take the always-built
-// direct-threaded stream and stay bit-exact.
-TEST(AotArtifact, OffWidthBatchFallsBackToThreadedStream) {
+// sealed narrower (partial seal) must transparently replay the sliced stream
+// and stay bit-exact, counters included.
+TEST(AotArtifact, OffWidthBatchReplaysSlicedStream) {
   if (!native_reachable()) GTEST_SKIP() << "no native compiler reachable";
   TempDir dir("offwidth");
   Rng gen(77);
@@ -388,18 +405,18 @@ TEST(AotArtifact, OffWidthBatchFallsBackToThreadedStream) {
       aot::compile_artifact(res.program, opt));
   ASSERT_EQ(art->kind, BackendKind::kAotNative);
   EXPECT_EQ(art->native_words, 4u);
-  ASSERT_FALSE(art->threaded.empty());  // the fallback must exist
 
   aot::AotExecutor exec(res.program, art);
   LpuSimulator scalar(res.program, /*simd=*/false);
   Rng in_rng(78);
-  // 256 lanes = the specialized width (native leg); 64 and 130 lanes = off
-  // width (threaded fallback). All three must match the scalar oracle.
+  // 256 lanes = the specialized width (native code); 64 and 130 lanes = off
+  // width (replay). All three must match the scalar oracle.
   for (const std::size_t width :
        {std::size_t{256}, std::size_t{64}, std::size_t{130}}) {
     SCOPED_TRACE("width " + std::to_string(width));
     const std::vector<BitVec> in = random_inputs(nl, width, in_rng);
     EXPECT_EQ(exec.run(in), scalar.run(in));
+    expect_counters_eq(scalar.counters(), exec.counters());
   }
 }
 
@@ -487,7 +504,6 @@ TEST(AotCache, NativeStageDedupesConcurrentBuilds) {
   runtime::ProgramCache cache(8);
   aot::AotOptions opt;
   opt.artifact_dir = dir.path();
-  opt.allow_native = native_reachable();
 
   std::mutex mu;
   std::condition_variable cv;
@@ -521,15 +537,15 @@ TEST(AotCache, NativeStageDedupesConcurrentBuilds) {
   // Join or post-publish hit, either way: the same artifact, built once.
   EXPECT_EQ(first.get(), second.get());
   const runtime::CacheStats s = cache.stats();
-  EXPECT_EQ(s.native_compiles + s.native_disk_hits, 1u);
-  EXPECT_EQ(s.native_failures, 0u);
+  EXPECT_EQ(s.native_compiles + s.native_disk_hits + s.native_failures, 1u);
+  EXPECT_EQ(s.native_failures, native_reachable() ? 0u : 1u);
 
   cache.set_native_hook(nullptr);
   // Third call: pure LRU hit, the hook (now cleared) must not be needed.
   auto third = cache.get_or_build_native(c.res.program, opt);
   EXPECT_EQ(third.get(), first.get());
   const runtime::CacheStats s2 = cache.stats();
-  EXPECT_EQ(s2.native_compiles + s2.native_disk_hits, 1u);
+  EXPECT_EQ(s2.native_compiles + s2.native_disk_hits + s2.native_failures, 1u);
 }
 
 // ---------------------------------------------------------------- serving
@@ -571,11 +587,12 @@ void expect_serves_correctly(runtime::Engine& eng, const runtime::ModelHandle& h
 }
 
 // Promotion under live traffic: requests served BEFORE the artifact lands
-// run on the sliced interpreter, requests after wait_aot_ready() run on an
-// AOT backend — and every single future resolves exactly once with the
-// reference value (zero dropped, zero double-executed). The codegen job is
-// gated on the native hook so "before" is deterministic, not a race.
+// run on the sliced interpreter, requests after wait_aot_ready() run native
+// — and every single future resolves exactly once with the reference value
+// (zero dropped, zero double-executed). The codegen job is gated on the
+// native hook so "before" is deterministic, not a race.
 TEST(AotServing, PromotionUnderLiveTrafficLosesNothing) {
+  if (!native_reachable()) GTEST_SKIP() << "no native compiler reachable";
   TempDir dir("promo");
   const Netlist nl = serving_netlist(91);
   runtime::Engine eng(aot_engine_options(dir.path()));
@@ -596,7 +613,7 @@ TEST(AotServing, PromotionUnderLiveTrafficLosesNothing) {
   {
     const runtime::ServeReport r = eng.report();
     EXPECT_GT(r.member_runs_by_backend[1], 0u) << "sliced leg never ran";
-    EXPECT_EQ(r.member_runs_by_backend[2] + r.member_runs_by_backend[3], 0u)
+    EXPECT_EQ(r.member_runs_by_backend[2], 0u)
         << "promotion landed before codegen was released";
   }
 
@@ -607,16 +624,41 @@ TEST(AotServing, PromotionUnderLiveTrafficLosesNothing) {
   cv.notify_all();
   eng.wait_aot_ready();
   // Post-promotion traffic: the artifact store is ordered before the
-  // wait_aot_ready() handshake, so every run from here on is AOT.
+  // wait_aot_ready() handshake, so every run from here on is native.
   const runtime::ServeReport before = eng.report();
   expect_serves_correctly(eng, h, nl, 3);
   const runtime::ServeReport after = eng.report();
-  EXPECT_GT(after.member_runs_by_backend[2] + after.member_runs_by_backend[3],
-            before.member_runs_by_backend[2] + before.member_runs_by_backend[3]);
+  EXPECT_GT(after.member_runs_by_backend[2], before.member_runs_by_backend[2]);
   EXPECT_EQ(after.member_runs_by_backend[1], before.member_runs_by_backend[1])
       << "a post-promotion run fell back to the interpreter";
   EXPECT_EQ(after.shed, 0u);
   EXPECT_EQ(after.expired, 0u);
+  eng.shutdown();
+}
+
+// A codegen that fails (the compiler exits non-zero) must not promote: every
+// member keeps serving on the sliced interpreter, bit-exact, and each failed
+// build is counted. A two-way parallel model makes "every member" mean more
+// than one.
+TEST(AotServing, FailedCodegenDoesNotPromote) {
+  TempDir dir("failed");
+  ScopedEnv broken_cxx("LBNN_AOT_CXX", "false");
+  const Netlist nl = serving_netlist(98);
+  runtime::Engine eng(aot_engine_options(dir.path()));
+  if (!eng.aot_enabled()) GTEST_SKIP() << "AOT pinned off in this env";
+  const runtime::ModelHandle h = eng.load_parallel("m", nl, 2);
+  eng.wait_aot_ready();
+
+  const runtime::CacheStats cs = eng.cache_stats();
+  EXPECT_EQ(cs.native_failures, 2u);
+  EXPECT_EQ(cs.native_compiles + cs.native_disk_hits, 0u);
+
+  expect_serves_correctly(eng, h, nl, 2);
+  const runtime::ServeReport r = eng.report();
+  EXPECT_GT(r.member_runs, 0u);
+  const std::size_t sliced = static_cast<std::size_t>(BackendKind::kSliced);
+  EXPECT_EQ(r.member_runs_by_backend[sliced], r.member_runs)
+      << "a member left the sliced interpreter";
   eng.shutdown();
 }
 
@@ -695,6 +737,7 @@ TEST(AotServing, WarmRestartRecompilesNothing) {
 // safe (atomic publish), both serve bit-exact, and at most one compile per
 // engine happens for the shared key.
 TEST(AotServing, TwoEnginesShareArtifactDir) {
+  if (!native_reachable()) GTEST_SKIP() << "no native compiler reachable";
   TempDir dir("share");
   const Netlist nl = serving_netlist(94);
   runtime::Engine e1(aot_engine_options(dir.path()));

@@ -207,6 +207,10 @@ TEST(Multicast, StagedSwitchModeMatchesReference) {
   // Full staged-fabric execution: every inter-LPV route is resolved by
   // actually routing the Benes+copy network and pushing lane indices through
   // its stages; the LPU outputs must still match the reference simulator.
+  // The simulator is built with the default (bit-sliced) kernel on purpose:
+  // an oracle must route every run through the scalar path, never be
+  // dropped. The fabric's routing is the identity on a correct program, so
+  // matching outputs alone cannot show the oracle ran — the call count does.
   Rng gen(21);
   const Netlist nl = reconvergent_grid(10, 7, gen);
   CompileOptions opt;
@@ -216,18 +220,24 @@ TEST(Multicast, StagedSwitchModeMatchesReference) {
 
   LpuSimulator sim(res.program);
   const MulticastSwitch fabric(opt.lpu.m, 2 * opt.lpu.m);
-  sim.set_route_oracle([&fabric](const std::vector<std::int32_t>& assignment) {
-    const auto cfg = fabric.route(assignment);
-    std::vector<std::uint32_t> ids(fabric.sources());
-    std::iota(ids.begin(), ids.end(), 0);
-    return fabric.apply(cfg, ids);
-  });
+  std::size_t oracle_calls = 0;
+  sim.set_route_oracle(
+      [&fabric, &oracle_calls](const std::vector<std::int32_t>& assignment) {
+        ++oracle_calls;
+        const auto cfg = fabric.route(assignment);
+        std::vector<std::uint32_t> ids(fabric.sources());
+        std::iota(ids.begin(), ids.end(), 0);
+        return fabric.apply(cfg, ids);
+      });
 
   Rng rng(22);
   for (int round = 0; round < 3; ++round) {
     const auto in = random_inputs(nl, 32, rng);
+    const std::size_t calls_before = oracle_calls;
     EXPECT_EQ(sim.run(in), simulate(nl, in));
+    EXPECT_GT(oracle_calls, calls_before) << "route oracle was not consulted";
   }
+  EXPECT_EQ(sim.backend_kind(), BackendKind::kScalar);
 }
 
 TEST(Multicast, CompiledProgramsAreRealizable) {
