@@ -86,7 +86,9 @@ std::string generate_source(const SlicedProgram& sp, const std::string& key,
     // stay hot in L1i across the whole run, where inlining them per op
     // emits ~100 KB of straight-line code that thrashes the instruction
     // cache against the workers' arenas (measured ~2x worse p99 under the
-    // serving engine than this form).
+    // serving engine than this form). `o` may be `a` or `b` (the row
+    // allocator hands a gate the row its last-read operand just freed);
+    // every iteration loads before it stores, so that is safe.
     out +=
         "typedef u64 v4 __attribute__((vector_size(32), aligned(8)));\n"
         "#define KF(name, expr)                                          \\\n"
@@ -109,18 +111,6 @@ std::string generate_source(const SlicedProgram& sp, const std::string& key,
     out += "KF(kf" + std::to_string(b) + ", " +
            lut_expr(static_cast<std::uint8_t>(b)) + ")\n";
   }
-  bool any_copy = false;
-  for (const SlicedOp& o : sp.ops) {
-    if (o.kind == SlicedOp::kCopy) { any_copy = true; break; }
-  }
-  if (any_copy) {
-    out +=
-        "static __attribute__((noinline)) void cprow(\n"
-        "    const u64* s, u64* d) {\n"
-        "  __builtin_memcpy(d, s, kNW * sizeof(u64));\n"
-        "}\n";
-  }
-
   // One function per non-empty wavefront. Splitting here (rather than
   // emitting one straight-line lbnn_aot_run) bounds each function at a
   // wavefront's worth of call lines: g++ time is superlinear in function
@@ -134,15 +124,11 @@ std::string generate_source(const SlicedProgram& sp, const std::string& key,
     out += "static void wv" + std::to_string(w) + "(u64* A) {\n";
     for (; op < end; ++op) {
       const SlicedOp& o = sp.ops[op];
-      if (o.kind == SlicedOp::kCompute) {
-        out += "  kf" + std::to_string(o.bits & 0xF) + "(A + " +
-               std::to_string(o.a) + "*kNW, A + " + std::to_string(o.b) +
-               "*kNW, A + " + std::to_string(o.dst) + "*kNW);\n";
-      } else if (o.kind == SlicedOp::kCopy) {
-        out += "  cprow(A + " + std::to_string(o.a) + "*kNW, A + " +
-               std::to_string(o.dst) + "*kNW);\n";
-      }
       // kHook: no hook support in artifacts — skipped.
+      if (o.kind != SlicedOp::kCompute) continue;
+      out += "  kf" + std::to_string(o.bits & 0xF) + "(A + " +
+             std::to_string(o.a) + "*kNW, A + " + std::to_string(o.b) +
+             "*kNW, A + " + std::to_string(o.dst) + "*kNW);\n";
     }
     out += "}\n";
   }

@@ -11,8 +11,10 @@ namespace lbnn::aot {
 /// ABI version of the generated artifact's entry points. Bump whenever the
 /// arena layout, the entry-point signature, or the return-value contract
 /// changes — a disk-cached artifact from an older ABI then fails the
-/// verification handshake and is recompiled instead of mis-executing.
-constexpr unsigned kAotAbi = 2;
+/// verification handshake and is recompiled instead of mis-executing. The
+/// content key hashes the program text and this version, not the stream, so
+/// a change to compile_sliced's row assignment must bump it too.
+constexpr unsigned kAotAbi = 3;
 
 /// Content key of a program's native artifact: a stable hex fingerprint over
 /// the full serialized program text plus the ABI version and the ISA the
@@ -27,9 +29,9 @@ std::string content_key(const Program& prog, bool avx2);
 /// the program's nominal row width of `words` 64-bit words: one kernel
 /// function per truth table in use (constant-folded minterm chain over
 /// explicitly vectorized 4 x u64 lanes, trip count a compile-time constant so
-/// the loop fully unrolls), one constant-size row-copy helper, one function
-/// per wavefront calling them with constant row offsets, and an
-/// `lbnn_aot_run` body that is a cancel-poll + wavefront-call sequence.
+/// the loop fully unrolls), one function per wavefront calling them with
+/// constant row offsets, and an `lbnn_aot_run` body that is a cancel-poll +
+/// wavefront-call sequence.
 /// Exported entry points (all extern "C"):
 ///
 ///   const char* lbnn_aot_key(void);   // == `key`, checked after dlopen

@@ -9,6 +9,10 @@ namespace lbnn::kernels {
 /// into the function (16 specializations per table), so a call is pure loads,
 /// logic ops, and stores — no per-gate mask setup. The replay loop
 /// (SlicedReplay::replay) dispatches through these tables.
+///
+/// `out` may alias `a` or `b` (exactly, never a partial overlap): each word
+/// is loaded before its result is stored. compile_sliced's row allocator
+/// relies on this when it hands a gate the row its operand just freed.
 using KernelFn = void (*)(const std::uint64_t*, const std::uint64_t*,
                           std::uint64_t*, std::size_t);
 

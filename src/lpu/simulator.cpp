@@ -275,11 +275,11 @@ std::vector<BitVec> LpuSimulator::run_scalar(const std::vector<BitVec>& inputs,
 
 // -------------------------------------------------------------------------
 // The replay interpreter: replay the op stream compile_sliced() built.
-// Per wavefront: one cancel poll, then kernel calls and row copies — every
-// other decision the scalar interpreter makes per gate was already made at
-// lowering time. Counters come from the precomputed prefixes, so a
-// cancelled (or error-replaying) run reports exactly what the interpreter
-// would have accumulated by the same point.
+// Per wavefront: one cancel poll, then kernel calls — every other decision
+// the scalar interpreter makes per gate was already made at lowering time.
+// Counters come from the precomputed prefixes, so a cancelled (or
+// error-replaying) run reports exactly what the interpreter would have
+// accumulated by the same point.
 // -------------------------------------------------------------------------
 std::vector<BitVec> LpuSimulator::run_compiled(const std::vector<BitVec>& inputs,
                                                const std::atomic<bool>* cancel,
@@ -334,8 +334,6 @@ long SlicedReplay::replay(const Program& prog, const SlicedProgram& sp,
       if (o.kind == SlicedOp::kCompute) {
         ktab[o.bits](arena + o.a * words, arena + o.b * words,
                      arena + o.dst * words, words);
-      } else if (o.kind == SlicedOp::kCopy) {
-        std::copy_n(arena + o.a * words, words, arena + o.dst * words);
       } else if (hook != nullptr) {
         (*hook)(w, o.a, prog.instr[w][o.a]);
       }
@@ -376,7 +374,7 @@ std::vector<BitVec> SlicedReplay::finish(const Program& prog,
     for (std::size_t w = 0; w < words; ++w) {
       // set_word masks the tail word: bits the kernels' ~ terms set past the
       // batch width never reach the caller.
-      v.set_word(w, arena[(sp.out_row0 + po) * words + w]);
+      v.set_word(w, arena[sp.out_rows[po] * words + w]);
     }
     outputs[po] = std::move(v);
   }

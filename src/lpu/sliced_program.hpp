@@ -12,14 +12,17 @@ namespace lbnn {
 /// interpreter's control flow is data-independent (validity, feedback
 /// read/write ordering, fanout, errors, counters — all functions of the
 /// immutable program alone), so compile_sliced() lowers the program into a
-/// flat op stream once and execution is a replay: kernel calls and row
-/// copies, nothing else. Row indices are in row units; the executor scales
-/// by the per-run word count. Row 0 is the always-zero row.
+/// flat op stream once and execution is a replay of two op kinds:
+///   kCompute  one real gate: the kernel for truth table `bits` reads rows
+///             `a` and `b` and writes row `dst` (which may be `a` or `b`);
+///   kHook     the instruction hook point of (current wavefront, lpv `a`).
+/// Row indices are in row units; the executor scales by the per-run word
+/// count.
 struct SlicedOp {
-  enum Kind : std::uint8_t { kCompute, kCopy, kHook };
-  std::uint32_t a = 0;    ///< kCompute: A row. kCopy: src row. kHook: lpv.
+  enum Kind : std::uint8_t { kCompute, kHook };
+  std::uint32_t a = 0;    ///< kCompute: A row. kHook: lpv.
   std::uint32_t b = 0;    ///< kCompute: B row.
-  std::uint32_t dst = 0;  ///< kCompute / kCopy: destination row.
+  std::uint32_t dst = 0;  ///< kCompute: destination row.
   Kind kind = kCompute;
   std::uint8_t bits = 0;  ///< kCompute: truth table (kernel table index).
 };
@@ -41,23 +44,26 @@ struct CounterPrefix {
 /// lowers it to straight-line C++. One lowering, two executors, identical
 /// observable semantics by construction.
 ///
-/// Arena row layout (row 0 first so operand indices can resolve before the
-/// feedback row count is known):
-///   row 0                 always-zero (invalid-but-ignored operands)
-///   [1 ..)                input data buffer rows
-///   [reg0 ..)             snapshot registers, n * 2m rows (lpv major)
-///   [out_row0 ..)         primary outputs
-///   [fb0 ..)              feedback rows, one per written address, in first-
-///                         write order (the address space is static)
-/// Inter-LPV lane rows vanish entirely: a terminal-LPV compute delivers
-/// straight into its feedback rows and output rows, everything else into the
-/// next LPV's registers via the decoded multicast fanout.
+/// The stream computes the program's dataflow, not its datapath moves:
+/// routes, register holds, feedback words, output taps and buf /
+/// constant-false gates are resolved at lowering time, and gates no primary
+/// output depends on are dropped. The LPU counters still model the hardware
+/// (they come from counters_at, not from the ops).
+///
+/// Arena row layout:
+///   row 0                 always-zero (invalid-but-ignored operands, and
+///                         constant-false values)
+///   [1 .. 1 + num_in)     input data buffer rows, loaded before each run
+///   [1 + num_in ..)       computed values, packed by liveness: a row is
+///                         reused once its value's last reader has run
+/// out_rows[po] is the row primary output po reads at the end of a run; it
+/// may be the zero row, an input row, or a row another output shares.
 struct SlicedProgram {
   std::vector<SlicedOp> ops;
   std::vector<std::uint32_t> wave_op_end;  ///< ops end per wavefront
   std::vector<CounterPrefix> counters_at;  ///< before wavefront w; [W] = final
-  std::uint32_t num_rows = 0;        ///< arena rows (zero|in|regs|out|fb)
-  std::uint32_t out_row0 = 0;        ///< first primary-output row
+  std::uint32_t num_rows = 0;              ///< arena rows (zero|in|values)
+  std::vector<std::uint32_t> out_rows;     ///< row of each primary output
   std::uint32_t num_wavefronts = 0;  ///< the program's wavefront count
   std::uint32_t compiled_waves = 0;  ///< wavefronts the stream covers
   /// A program whose run would throw SimError does so at a fixed point; the

@@ -178,7 +178,8 @@ Router::Router(const RouterOptions& options)
   }
   last_tick_ = clock_->now();
   if (options_.rebalance_interval.count() > 0) {
-    rebalancer_ = std::thread([this] { rebalance_loop(); });
+    rebalancer_ =
+        std::thread([this, start = last_tick_] { rebalance_loop(start); });
   }
 }
 
@@ -508,13 +509,15 @@ std::vector<std::size_t> Router::replica_shards(const RoutedHandle& h) const {
   return out;
 }
 
-void Router::rebalance_loop() {
+void Router::rebalance_loop(TimePoint start) {
+  if (options_.rebalancer_start_hook) options_.rebalancer_start_hook();
   std::unique_lock<std::mutex> lk(ticks_mu_);
-  // Fixed absolute cadence (next += interval, never now + interval): a
-  // ManualClock advance of k intervals yields exactly k ticks no matter how
-  // the advance interleaves with the loop re-registering its wait — which is
-  // what makes wait_for_ticks(n) after advance(n * interval) deterministic.
-  TimePoint next = clock_->now() + options_.rebalance_interval;
+  // Fixed absolute cadence from the constructor's clock reading (next +=
+  // interval, never now + interval): a ManualClock advance of k intervals
+  // yields exactly k ticks no matter how the advance interleaves with the
+  // thread's start or with the loop re-registering its wait — which is what
+  // makes wait_for_ticks(n) after advance(n * interval) deterministic.
+  TimePoint next = start + options_.rebalance_interval;
   while (!stop_) {
     clock_->wait_until(lk, ticks_cv_, next, [&] { return stop_; });
     if (stop_) break;

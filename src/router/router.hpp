@@ -61,6 +61,11 @@ struct RouterOptions {
   double retire_headroom = 0.5;
   /// Seed for the power-of-two-choices candidate picker.
   std::uint64_t seed = 0x7073686172640001ull;
+  /// Test instrumentation, in the style of Router::set_route_hook but fixed
+  /// at construction: the rebalancer thread calls it once when it starts,
+  /// before its first clock read. A test advances the ManualClock here to
+  /// stand in for a thread that is scheduled late. Empty: no call.
+  std::function<void()> rebalancer_start_hook;
 };
 
 struct RoutedModel;  // internal; defined in router.cpp
@@ -239,7 +244,8 @@ class Router {
   /// Retire the least-loaded replica: removed from routing first, then
   /// drained via Engine::unload. No-op if only one replica remains.
   void retire_replica(const std::shared_ptr<RoutedModel>& model);
-  void rebalance_loop();
+  /// The background cadence: ticks at start + k * rebalance_interval.
+  void rebalance_loop(runtime::TimePoint start);
   void tick();
   void tick_model(const std::shared_ptr<RoutedModel>& model,
                   const std::vector<runtime::ServeReport>& reports,

@@ -15,6 +15,11 @@
 //
 // Zero real sleeps anywhere: promotion instants are pinned with
 // Engine::wait_aot_ready() and ProgramCache::set_native_hook gating.
+//
+// CI also runs this suite under the backend-matrix pins LBNN_NO_AOT and
+// LBNN_FORCE_SCALAR, which turn AOT off process-wide. There a serving test
+// asserts the pinned-off behaviour instead (expect_pinned_off: zero native
+// builds, bit-exact answers), or skips where its subject is native code.
 
 #include <gtest/gtest.h>
 
@@ -34,6 +39,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/compiler.hpp"
+#include "edge_programs.hpp"
 #include "lpu/simulator.hpp"
 #include "netlist/random_circuits.hpp"
 #include "netlist/simulate.hpp"
@@ -194,8 +200,8 @@ TEST(AotDiff, FuzzSeed1) { run_aot_diff_round(71); }
 TEST(AotDiff, FuzzSeed2) { run_aot_diff_round(72); }
 TEST(AotDiff, FuzzSeed3) { run_aot_diff_round(73); }
 
-// Feedback-band programs lower to dedicated arena rows in the replay
-// stream; the native code must execute them exactly (see
+// Feedback-band programs carry values across bands in the replay stream;
+// the native code must execute them exactly (see
 // SimdDiff.FeedbackPathPrograms for the interpreter-side twin).
 TEST(AotDiff, FeedbackPathPrograms) {
   if (!native_reachable()) GTEST_SKIP() << "no native compiler reachable";
@@ -344,6 +350,43 @@ TEST(AotDiff, ErrorMessagesMatchScalar) {
     Program bad = p;  // tap of a lane LPV1 never computes
     bad.output_taps = {{0, 1, 0}};
     diff_error(bad);
+  }
+}
+
+// The hand-built corners of the value walk (edge_programs.hpp; the
+// interpreter side is SimdDiff.EdgeProgramsMatchAcrossKernels) through the
+// native entry point. Artifacts specialized to 1 and 5 words run natively at
+// 1/63/64 and 257 lanes; the other widths replay. Outputs, counters and the
+// SimError text must match the scalar oracle, and a cancel set before the
+// run must land at wavefront 0 (artifacts have no hooks to trip one later).
+TEST(AotDiff, EdgeProgramsMatchScalar) {
+  if (!native_reachable()) GTEST_SKIP() << "no native compiler reachable";
+  TempDir dir("edge");
+  aot::AotOptions opt;
+  opt.artifact_dir = dir.path();
+  opt.avx2 = LpuSimulator::cpu_has_avx2();
+  Rng rng(0xa07e);
+  for (const std::uint32_t nominal : {64u, 257u}) {
+    for (const edge::EdgeProgram& e : edge::edge_programs(nominal)) {
+      SCOPED_TRACE(e.name + " specialized to " + std::to_string(nominal));
+      auto art = std::make_shared<const aot::ProgramArtifact>(
+          aot::compile_artifact(e.prog, opt));
+      ASSERT_EQ(art->kind, BackendKind::kAotNative);
+      aot::AotExecutor exec(e.prog, art);
+      LpuSimulator scalar(e.prog, /*simd=*/false);
+      for (const std::size_t width : {1, 63, 64, 65, 128, 257}) {
+        SCOPED_TRACE("width " + std::to_string(width));
+        const std::vector<BitVec> in = edge::random_batch(e.prog, width, rng);
+        const edge::Outcome want = edge::run_observed(scalar, in);
+        if (e.expect) {
+          EXPECT_EQ(want.outputs, e.expect(in));
+        }
+        edge::expect_same(want, edge::run_observed(exec, in));
+        const std::atomic<bool> cancel{true};
+        edge::expect_same(edge::run_observed(scalar, in, &cancel),
+                          edge::run_observed(exec, in, &cancel));
+      }
+    }
   }
 }
 
@@ -586,6 +629,21 @@ void expect_serves_correctly(runtime::Engine& eng, const runtime::ModelHandle& h
   }
 }
 
+/// The backend-matrix pins (LBNN_NO_AOT, LBNN_FORCE_SCALAR) turn AOT off for
+/// the whole process. A serving test whose subject survives the pin asserts
+/// the pinned-off behaviour through this: zero native builds, zero native
+/// runs, and every answer bit-exact.
+void expect_pinned_off(runtime::Engine& eng, const runtime::ModelHandle& h,
+                       const Netlist& nl) {
+  EXPECT_FALSE(eng.aot_enabled());
+  eng.wait_aot_ready();  // nothing to wait for: no codegen job was spawned
+  expect_serves_correctly(eng, h, nl, 2);
+  const runtime::CacheStats s = eng.cache_stats();
+  EXPECT_EQ(s.native_compiles + s.native_disk_hits + s.native_failures, 0u);
+  const std::size_t native = static_cast<std::size_t>(BackendKind::kAotNative);
+  EXPECT_EQ(eng.report().member_runs_by_backend[native], 0u);
+}
+
 // Promotion under live traffic: requests served BEFORE the artifact lands
 // run on the sliced interpreter, requests after wait_aot_ready() run native
 // — and every single future resolves exactly once with the reference value
@@ -596,7 +654,10 @@ TEST(AotServing, PromotionUnderLiveTrafficLosesNothing) {
   TempDir dir("promo");
   const Netlist nl = serving_netlist(91);
   runtime::Engine eng(aot_engine_options(dir.path()));
-  ASSERT_TRUE(eng.aot_enabled());
+  if (!eng.aot_enabled()) {
+    expect_pinned_off(eng, eng.load("m", nl), nl);
+    return;
+  }
 
   std::mutex mu;
   std::condition_variable cv;
@@ -669,7 +730,14 @@ TEST(AotServing, UnloadDuringInflightCodegen) {
   TempDir dir("unload");
   const Netlist nl = serving_netlist(92);
   runtime::Engine eng(aot_engine_options(dir.path()));
-  ASSERT_TRUE(eng.aot_enabled());
+  if (!eng.aot_enabled()) {
+    // No codegen to race: the unload itself must still be clean.
+    const runtime::ModelHandle h = eng.load("m", nl);
+    expect_pinned_off(eng, h, nl);
+    EXPECT_TRUE(eng.unload(h));
+    EXPECT_FALSE(h.loaded());
+    return;
+  }
 
   std::mutex mu;
   std::condition_variable cv;
@@ -710,6 +778,12 @@ TEST(AotServing, WarmRestartRecompilesNothing) {
   const Netlist nl = serving_netlist(93);
   {
     runtime::Engine cold(aot_engine_options(dir.path()));
+    if (!cold.aot_enabled()) {
+      expect_pinned_off(cold, cold.load("m", nl), nl);
+      cold.shutdown();
+      EXPECT_TRUE(fs::is_empty(dir.path())) << "a pinned-off engine persisted";
+      return;
+    }
     const runtime::ModelHandle h = cold.load("m", nl);
     cold.wait_aot_ready();
     expect_serves_correctly(cold, h, nl, 1);
@@ -744,6 +818,12 @@ TEST(AotServing, TwoEnginesShareArtifactDir) {
   runtime::Engine e2(aot_engine_options(dir.path()));
   const runtime::ModelHandle h1 = e1.load("m", nl);
   const runtime::ModelHandle h2 = e2.load("m", nl);
+  if (!e1.aot_enabled()) {
+    expect_pinned_off(e1, h1, nl);
+    expect_pinned_off(e2, h2, nl);
+    EXPECT_TRUE(fs::is_empty(dir.path())) << "a pinned-off engine persisted";
+    return;
+  }
   e1.wait_aot_ready();
   e2.wait_aot_ready();
   expect_serves_correctly(e1, h1, nl, 2);
@@ -788,7 +868,6 @@ TEST(AotServing, ExpiredDeadlinesAcrossPromotion) {
   TempDir dir("deadline");
   const Netlist nl = serving_netlist(96);
   runtime::Engine eng(aot_engine_options(dir.path()));
-  ASSERT_TRUE(eng.aot_enabled());
 
   std::mutex mu;
   std::condition_variable cv;
@@ -818,6 +897,8 @@ TEST(AotServing, ExpiredDeadlinesAcrossPromotion) {
   expect_serves_correctly(eng, h, nl, 1);
   const runtime::ServeReport r = eng.report();
   EXPECT_EQ(r.requests, 16u);            // the 2x8 served rounds, nothing lost
+  // Pinned off, the same books close with no promotion at all.
+  if (!eng.aot_enabled()) expect_pinned_off(eng, h, nl);
   eng.shutdown();
 }
 
@@ -836,6 +917,9 @@ TEST(AotRouter, ReplicasShareArtifacts) {
   std::string dir;
   {
     router::Router router(ropt);
+    if (!router.shard(0).aot_enabled()) {
+      GTEST_SKIP() << "AOT pinned off in this env";
+    }
     dir = router.artifact_dir();
     ASSERT_FALSE(dir.empty());
     EXPECT_TRUE(fs::exists(dir));

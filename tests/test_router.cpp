@@ -267,6 +267,21 @@ TEST(Router, SustainedShedsGrowReplicasThenIdleRetires) {
   EXPECT_EQ(rep.total.expired, 0u);
 }
 
+// The first deadline is one interval after construction, not after the
+// rebalancer thread first runs: an advance that lands before the thread
+// reads the clock must still yield its tick. The start hook plays a thread
+// scheduled late by advancing the clock one interval before the loop starts;
+// a cadence started from the thread's own clock reading would wait for a
+// second interval and this test would never return.
+TEST(Router, FirstTickDeadlineStartsAtConstruction) {
+  RouterFixture fx(/*rebalance_interval=*/1s);
+  ManualClock* clock = &fx.clock;
+  fx.ropt.rebalancer_start_hook = [clock] { clock->advance(1s); };
+  Router router(fx.ropt);
+  router.wait_for_ticks(1);
+  EXPECT_EQ(router.rebalance_ticks(), 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Retirement drains — nothing accepted is ever dropped
 // ---------------------------------------------------------------------------

@@ -214,6 +214,10 @@ TEST(ServingV2, EvictIdleUnloadsOnlyStaleModels) {
   const ModelHandle ha = engine.load("a", a);
   const ModelHandle hb = engine.load("b", b);
   engine.submit(ha, std::vector<bool>(a.num_inputs())).get();
+  // The future resolves before the worker returns the request's admission
+  // slot, and a model with an outstanding request is busy, not idle. drain()
+  // waits for that release, so "idle" below does not race the worker.
+  engine.drain();
 
   EXPECT_EQ(engine.evict_idle(10min), 0u);  // nothing is that old
   EXPECT_EQ(engine.num_models(), 2u);

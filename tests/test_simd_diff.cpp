@@ -16,16 +16,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/compiler.hpp"
+#include "edge_programs.hpp"
+#include "lpu/multi_lpu.hpp"
 #include "lpu/simulator.hpp"
+#include "lpu/sliced_program.hpp"
 #include "netlist/random_circuits.hpp"
 #include "netlist/simulate.hpp"
+#include "nn/model_zoo.hpp"
 #include "runtime/engine.hpp"
 
 namespace lbnn {
@@ -152,9 +160,10 @@ TEST(SimdDiff, FuzzSeed3) { run_diff_round(23); }
 
 // Depth circulation: a program deep enough that values leave through the
 // output buffer's feedback region and re-enter in a later band. The
-// feedback tables are a separate code path in every kernel (and compile to
-// dedicated rows in the op stream), so the differential sweep must include
-// bands > 1 programs by construction, not by luck.
+// feedback tables are a separate code path in the oracle and in the
+// lowering (a feedback word holds a value across bands), so the
+// differential sweep must include bands > 1 programs by construction, not
+// by luck.
 TEST(SimdDiff, FeedbackPathPrograms) {
   Rng gen(31);
   const Netlist nl = random_tree(48, gen);
@@ -283,6 +292,118 @@ TEST(SimdDiff, ErrorMessagesMatchAcrossKernels) {
     bad.output_taps.clear();
     diff_error(bad);
   }
+}
+
+// The hand-built corners of the value walk (edge_programs.hpp) on every
+// kernel: outputs (also against each program's hand-written answer), all
+// counters, the SimError text, the hook sequence, and — with the hook
+// tripping the cancel flag in each wavefront in turn — where SimCancelled
+// lands. The widths straddle one word and the 4-word AVX2 block.
+TEST(SimdDiff, EdgeProgramsMatchAcrossKernels) {
+  ScopedEnvClear no_scalar_pin("LBNN_FORCE_SCALAR");
+  ScopedEnvClear no_word64_pin("LBNN_NO_AVX2");
+  using Hooks = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+  Rng rng(0xed6e);
+  for (const edge::EdgeProgram& e : edge::edge_programs(64)) {
+    SCOPED_TRACE(e.name);
+    std::vector<std::unique_ptr<LpuSimulator>> sims;  // the oracle first
+    sims.push_back(std::make_unique<LpuSimulator>(e.prog, /*simd=*/false));
+    {
+      ScopedEnv no_avx2("LBNN_NO_AVX2", "1");
+      sims.push_back(std::make_unique<LpuSimulator>(e.prog));
+      ASSERT_EQ(sims.back()->kernel(), SimdKernel::kWord64);
+    }
+    if (LpuSimulator::cpu_has_avx2()) {
+      sims.push_back(std::make_unique<LpuSimulator>(e.prog));
+      ASSERT_EQ(sims.back()->kernel(), SimdKernel::kAvx2);
+    }
+    for (const std::size_t width : {1, 63, 64, 65, 128, 257}) {
+      SCOPED_TRACE("width " + std::to_string(width));
+      const std::vector<BitVec> in = edge::random_batch(e.prog, width, rng);
+      // trip -1 runs to the end; trip w sets the cancel flag in wavefront w.
+      for (long trip = -1; trip < static_cast<long>(e.prog.num_wavefronts);
+           ++trip) {
+        SCOPED_TRACE("cancel tripped in wavefront " + std::to_string(trip));
+        edge::Outcome want;
+        Hooks want_hooks;
+        for (std::size_t k = 0; k < sims.size(); ++k) {
+          SCOPED_TRACE(to_string(sims[k]->kernel()));
+          std::atomic<bool> cancel{false};
+          Hooks hooks;
+          sims[k]->set_instr_hook(
+              [&](std::uint32_t w, std::uint32_t j, const LpvInstr&) {
+                hooks.emplace_back(w, j);
+                if (static_cast<long>(w) == trip) cancel.store(true);
+              });
+          const edge::Outcome got = edge::run_observed(*sims[k], in, &cancel);
+          if (k == 0) {
+            want = got;
+            want_hooks = hooks;
+            continue;
+          }
+          edge::expect_same(want, got);
+          EXPECT_EQ(want_hooks, hooks);
+        }
+        if (trip >= 0) continue;
+        if (e.expect) {
+          EXPECT_EQ(want.thrown, "");
+          EXPECT_EQ(want.outputs, e.expect(in));
+        } else {
+          EXPECT_EQ(want.thrown.rfind("SimError: ", 0), 0u) << want.thrown;
+        }
+      }
+    }
+  }
+}
+
+// ROADMAP's "replay ops per sample" counter as a deterministic gate: the
+// streams of lbnn_bench's two closed-loop models, compiled the way the bench
+// compiles them (m=64, n=8, tsw=5). Buffers and register moves must lower to
+// nothing, and values must pack into few rows.
+TEST(SlicedProgram, ReplayStreamIsCompact) {
+  CompileOptions copt;
+  copt.lpu.m = 64;
+  copt.lpu.n = 8;
+  copt.lpu.tsw = 5;
+  copt.lpu.clock_mhz = 333.0;
+  struct Size {
+    std::size_t ops = 0;
+    std::size_t bufs = 0;
+    std::uint32_t max_rows = 0;
+  };
+  const auto measure = [](const std::vector<const Program*>& programs) {
+    Size z;
+    for (const Program* p : programs) {
+      const SlicedProgram sp = compile_sliced(*p);
+      z.ops += sp.ops.size();
+      z.max_rows = std::max(z.max_rows, sp.num_rows);
+      for (const SlicedOp& o : sp.ops) {
+        z.bufs += o.kind == SlicedOp::kCompute && (o.bits == 0xA || o.bits == 0xC);
+      }
+    }
+    return z;
+  };
+
+  Rng grid_rng(7);
+  const CompileResult anchor = compile(reconvergent_grid(96, 24, grid_rng), copt);
+  const Size a = measure({&anchor.program});
+  EXPECT_EQ(a.bufs, 0u);
+  EXPECT_LE(a.ops, 3000u);
+  EXPECT_LE(a.max_rows, 300u);
+
+  nn::SynthOptions synth;
+  synth.max_neurons = 192;
+  synth.max_inputs = 64;
+  Rng conv_rng(11);
+  const ParallelCompileResult conv6 = compile_parallel(
+      nn::synthesize_layer_ffcl(nn::vgg16().layers[4], synth, conv_rng).ffcl,
+      copt, 2);
+  std::vector<const Program*> members;
+  for (const auto& mem : conv6.members) members.push_back(&mem.program);
+  const Size c = measure(members);
+  EXPECT_EQ(c.bufs, 0u);
+  EXPECT_LE(c.ops, 40000u);
+  EXPECT_LE(c.max_rows, 2000u);
 }
 
 TEST(SimdDiff, KernelResolution) {
