@@ -5,7 +5,8 @@
 //
 // One generator thread pushes every request through the alias ("jsc@prod")
 // while the main thread runs the rollout script against it mid-stream:
-// publish v1, stage v2 at 0%, open the split to 25%, then flip to 100%.
+// publish v1, stage v2 at 0%, open the split to 25% at the 1/3 mark, then
+// flip to 100% at the 2/3 mark.
 // v1 and v2 are the same zoo netlist loaded under two names, so (a) the
 // second load must dedup in the program cache (versions share compiled
 // programs), and (b) a SINGLE-version scalar simulation is the oracle for
@@ -90,30 +91,43 @@ int main(int argc, char** argv) {
   }
 
   std::vector<std::future<std::vector<bool>>> futs(kRequests);
+  // The phase boundaries are request indices, not wall-clock moments: the
+  // generator parks at each one until the script has applied that phase, so
+  // every phase gets exactly its share of the stream however the threads
+  // are scheduled.
+  const std::size_t kStaged = kRequests / 3;
+  const std::size_t kFlipped = 2 * kRequests / 3;
   std::atomic<std::size_t> submitted{0};
+  std::atomic<int> applied{0};  // phases the script has applied
+  const auto park_until = [&applied](int phase) {
+    while (applied.load(std::memory_order_acquire) < phase) std::this_thread::yield();
+  };
   const auto t_start = SteadyClock::now();
   std::thread generator([&] {
     for (std::size_t i = 0; i < kRequests; ++i) {
+      if (i == kStaged) park_until(1);
+      if (i == kFlipped) park_until(2);
       futs[i] = table.submit("jsc@prod", pool[i % kPool]);
       submitted.store(i + 1, std::memory_order_release);
     }
   });
+  const auto wait_submitted = [&submitted](std::size_t n) {
+    while (submitted.load(std::memory_order_acquire) < n) std::this_thread::yield();
+  };
 
   // The rollout script, applied mid-stream at the phase boundaries.
-  while (submitted.load(std::memory_order_acquire) < kRequests / 3) {
-    std::this_thread::yield();
-  }
+  wait_submitted(kStaged);
   const AliasReport dark = table.report("jsc@prod");
   check(dark.to_canary == 0, "0% stage sends v2 nothing", failures);
   table.set_split("jsc@prod", 1, 3);  // 25%
   engine.set_weight(v2, 1);           // matching QoS share for the canary
+  applied.store(1, std::memory_order_release);
 
-  while (submitted.load(std::memory_order_acquire) < 2 * kRequests / 3) {
-    std::this_thread::yield();
-  }
+  wait_submitted(kFlipped);
   const AliasReport staged = table.report("jsc@prod");
   const auto t_flip = SteadyClock::now();
   const ModelHandle old = table.flip("jsc@prod");  // 100%
+  applied.store(2, std::memory_order_release);
   check(old.name() == "jsc_v1", "flip returns the old primary", failures);
   check(table.resolve("jsc@prod").name() == "jsc_v2", "alias repointed",
         failures);
@@ -146,8 +160,15 @@ int main(int argc, char** argv) {
   check(rep.to_primary + rep.to_canary == rep.submitted,
         "every request routed exactly once", failures);
   check(rep.flips == 1, "one flip recorded", failures);
-  check(staged.to_canary > 0,
-        "the 25% stage actually sent the canary traffic", failures);
+  // The stride split is exact over aligned windows of 4 and restarts on
+  // set_split, so the 25% stage sends v2 a quarter of its requests, rounded
+  // either way; after the flip v2 is the primary and gets no canary picks.
+  const std::size_t staged_requests = kFlipped - kStaged;
+  check(staged.to_canary == staged_requests / 4 ||
+            staged.to_canary == (staged_requests + 3) / 4,
+        "the 25% stage sent the canary a quarter of its requests", failures);
+  check(rep.to_canary == staged.to_canary,
+        "post-flip requests count as primary", failures);
 
   // Reap the old version: v1 has been idle since the flip; one fresh request
   // re-stamps v2 so half the flip-to-now gap evicts exactly one of them.

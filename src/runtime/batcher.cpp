@@ -1,5 +1,8 @@
 #include "runtime/batcher.hpp"
 
+#include <algorithm>
+
+#include "common/bits.hpp"
 #include "common/check.hpp"
 #include "common/error.hpp"
 
@@ -7,12 +10,33 @@ namespace lbnn::runtime {
 
 std::vector<BitVec> pack_requests(const std::vector<Request>& requests,
                                   std::size_t num_inputs) {
-  std::vector<BitVec> packed(num_inputs, BitVec(requests.size()));
-  for (std::size_t lane = 0; lane < requests.size(); ++lane) {
+  const std::size_t lanes = requests.size();
+  const std::size_t in_words = (num_inputs + 63) / 64;
+  // Lane-major staging: row `lane` holds that request's inputs, 64 per word.
+  std::vector<std::uint64_t> rows(lanes * in_words);
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
     const auto& bits = requests[lane].inputs;
     LBNN_CHECK(bits.size() == num_inputs, "request input arity mismatch");
-    for (std::size_t pi = 0; pi < num_inputs; ++pi) {
-      if (bits[pi]) packed[pi].set(lane, true);
+    auto bit = bits.begin();
+    for (std::size_t w = 0; w < in_words; ++w) {
+      const std::size_t n = std::min<std::size_t>(64, num_inputs - w * 64);
+      std::uint64_t acc = 0;
+      for (std::size_t b = 0; b < n; ++b, ++bit) acc |= std::uint64_t{*bit} << b;
+      rows[lane * in_words + w] = acc;
+    }
+  }
+  std::vector<BitVec> packed(num_inputs, BitVec(lanes));
+  std::uint64_t tile[64];
+  for (std::size_t lw = 0; lw * 64 < lanes; ++lw) {
+    for (std::size_t w = 0; w < in_words; ++w) {
+      for (std::size_t r = 0; r < 64; ++r) {
+        const std::size_t lane = lw * 64 + r;
+        tile[r] = lane < lanes ? rows[lane * in_words + w] : 0;
+      }
+      transpose64(tile);  // tile[r] = lanes lw*64.. of input w*64 + r
+      for (std::size_t r = 0; r < 64 && w * 64 + r < num_inputs; ++r) {
+        packed[w * 64 + r].set_word(lw, tile[r]);
+      }
     }
   }
   return packed;
@@ -20,12 +44,31 @@ std::vector<BitVec> pack_requests(const std::vector<Request>& requests,
 
 std::vector<std::vector<bool>> unpack_outputs(const std::vector<BitVec>& outputs,
                                               std::size_t num_requests) {
-  std::vector<std::vector<bool>> per_request(
-      num_requests, std::vector<bool>(outputs.size(), false));
-  for (std::size_t po = 0; po < outputs.size(); ++po) {
-    LBNN_CHECK(outputs[po].width() >= num_requests, "output word narrower than batch");
-    for (std::size_t lane = 0; lane < num_requests; ++lane) {
-      per_request[lane][po] = outputs[po].get(lane);
+  const std::size_t num_outputs = outputs.size();
+  for (const BitVec& out : outputs) {
+    LBNN_CHECK(out.width() >= num_requests, "output word narrower than batch");
+  }
+  // Sized, not copied from a prototype: a vector<bool> copy moves its tail
+  // bits one at a time.
+  std::vector<std::vector<bool>> per_request;
+  per_request.reserve(num_requests);
+  for (std::size_t i = 0; i < num_requests; ++i) per_request.emplace_back(num_outputs);
+  std::uint64_t tile[64];
+  for (std::size_t w = 0; w * 64 < num_outputs; ++w) {
+    for (std::size_t lw = 0; lw * 64 < num_requests; ++lw) {
+      for (std::size_t r = 0; r < 64; ++r) {
+        const std::size_t po = w * 64 + r;
+        tile[r] = po < num_outputs ? outputs[po].word(lw) : 0;
+      }
+      transpose64(tile);  // tile[r] = outputs w*64.. of lane lw*64 + r
+      for (std::size_t r = 0; r < 64 && lw * 64 + r < num_requests; ++r) {
+        // Only the 1 bits are written: assigning every bit through the
+        // vector<bool> proxy branches on the data.
+        auto& bits = per_request[lw * 64 + r];
+        for (std::uint64_t set = tile[r]; set != 0; set &= set - 1) {
+          bits[w * 64 + static_cast<std::size_t>(countr_zero64(set))] = true;
+        }
+      }
     }
   }
   return per_request;
@@ -72,6 +115,7 @@ std::future<std::vector<bool>> Batcher::submit(std::vector<bool> input_bits,
   {
     std::lock_guard<std::mutex> lk(mu_);
     if (open_.empty()) {
+      open_.reserve(lane_capacity_);
       open_deadline_ = req.enqueued + max_wait_;
       opened = true;
     }

@@ -887,7 +887,9 @@ void Engine::enqueue_batch(ModelState& model, Batch&& batch) {
   work->requests = std::move(batch.requests);
   work->slots = std::move(batch.member_slots);
   work->inputs = pack_requests(work->requests, model.num_inputs);
-  work->outputs.assign(model.num_outputs, BitVec(work->requests.size()));
+  // Every member run moves its outputs in; compile_parallel gives each PO
+  // to exactly one member, so no slot needs a placeholder word.
+  work->outputs.resize(model.num_outputs);
   work->members_left.store(work->slots.size());
   work->sealed_at_us = to_us(clock_->now());
   const std::size_t items = work->slots.size();

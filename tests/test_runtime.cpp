@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <future>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -297,26 +299,65 @@ TEST(Batcher, RejectsWrongArity) {
   EXPECT_THROW(batcher.submit({true, false}), Error);
 }
 
-TEST(Batcher, PackUnpackRoundTrip) {
-  Rng rng(61);
-  std::vector<Request> requests(5);
-  for (auto& req : requests) {
-    req.inputs.resize(7);
-    for (std::size_t pi = 0; pi < 7; ++pi) req.inputs[pi] = rng.next_bool();
-  }
-  const auto packed = pack_requests(requests, 7);
-  ASSERT_EQ(packed.size(), 7u);
-  for (const auto& word : packed) EXPECT_EQ(word.width(), 5u);
-  for (std::size_t lane = 0; lane < 5; ++lane) {
-    for (std::size_t pi = 0; pi < 7; ++pi) {
-      EXPECT_EQ(packed[pi].get(lane), requests[lane].inputs[pi]);
+// Per-bit references for the word-parallel pack_requests / unpack_outputs.
+std::vector<BitVec> pack_per_bit(const std::vector<Request>& requests,
+                                 std::size_t num_inputs) {
+  std::vector<BitVec> packed(num_inputs, BitVec(requests.size()));
+  for (std::size_t lane = 0; lane < requests.size(); ++lane) {
+    for (std::size_t pi = 0; pi < num_inputs; ++pi) {
+      packed[pi].set(lane, requests[lane].inputs[pi]);
     }
   }
-  // Treat the packed words as outputs: unpack must invert pack.
-  const auto unpacked = unpack_outputs(packed, 5);
-  for (std::size_t lane = 0; lane < 5; ++lane) {
-    EXPECT_EQ(unpacked[lane], requests[lane].inputs);
+  return packed;
+}
+
+std::vector<std::vector<bool>> unpack_per_bit(const std::vector<BitVec>& outputs,
+                                              std::size_t num_requests) {
+  std::vector<std::vector<bool>> per_request(num_requests,
+                                             std::vector<bool>(outputs.size()));
+  for (std::size_t lane = 0; lane < num_requests; ++lane) {
+    for (std::size_t po = 0; po < outputs.size(); ++po) {
+      per_request[lane][po] = outputs[po].get(lane);
+    }
   }
+  return per_request;
+}
+
+TEST(Batcher, PackUnpackRoundTrip) {
+  Rng rng(61);
+  // Lane counts and arities on both sides of every 64-bit tile boundary.
+  for (const std::size_t lanes : {1, 2, 63, 64, 65, 127, 128, 129, 2048}) {
+    for (const std::size_t arity : {1, 7, 63, 64, 65, 96, 192}) {
+      SCOPED_TRACE(std::to_string(lanes) + " lanes x " + std::to_string(arity) +
+                   " bits");
+      std::vector<Request> requests(lanes);
+      for (auto& req : requests) {
+        req.inputs.resize(arity);
+        for (std::size_t pi = 0; pi < arity; ++pi) req.inputs[pi] = rng.next_bool();
+      }
+      const auto packed = pack_requests(requests, arity);
+      ASSERT_EQ(packed, pack_per_bit(requests, arity));
+      // Treat the packed words as outputs: unpack must invert pack.
+      const auto unpacked = unpack_outputs(packed, lanes);
+      ASSERT_EQ(unpacked.size(), lanes);
+      for (std::size_t lane = 0; lane < lanes; ++lane) {
+        ASSERT_EQ(unpacked[lane], requests[lane].inputs);
+      }
+      // Output words up to 130 bits wider than the batch: the lanes past the
+      // request count are ignored.
+      std::vector<BitVec> outputs;
+      for (std::size_t po = 0; po < arity; ++po) {
+        outputs.push_back(BitVec::random(lanes + rng.next_below(131), rng));
+      }
+      ASSERT_EQ(unpack_outputs(outputs, lanes), unpack_per_bit(outputs, lanes));
+    }
+  }
+  // A request of the wrong arity, and an output narrower than the batch.
+  std::vector<Request> ragged(2);
+  ragged[0].inputs.assign(3, true);
+  ragged[1].inputs.assign(2, true);
+  EXPECT_THROW(pack_requests(ragged, 3), std::logic_error);
+  EXPECT_THROW(unpack_outputs({BitVec(65), BitVec(64)}, 65), std::logic_error);
 }
 
 TEST(ProgramCache, HitsMissesEvictions) {
