@@ -18,11 +18,11 @@ way for back-compat — 0 meant "not measured", never "infinitely fast".) A
 bench whose own PASS gate failed is reported but does not abort the sweep
 (--strict makes it fatal).
 
-    $ python3 bench/run_all.py --build-dir build --out BENCH_PR6.json
-    $ python3 bench/run_all.py --build-dir build --compare BENCH_PR6.json \
+    $ python3 bench/run_all.py --build-dir build --out BENCH_PR10.json
+    $ python3 bench/run_all.py --build-dir build --compare BENCH_PR10.json \
           --tolerance 0.10
 
-CI runs the second form against the checked-in BENCH_PR6.json with a generous
+CI runs the second form against the checked-in BENCH_PR10.json with a generous
 tolerance (shared runners are noisy); regenerate the baseline with the first
 form when a PR intentionally moves performance.
 """

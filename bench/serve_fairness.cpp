@@ -1,19 +1,11 @@
 // Multi-model fairness: one heavy model saturating the engine vs N light
-// models with latency-sensitive traffic, under the two scheduling policies:
+// models with latency-sensitive traffic, under weighted-fair scheduling
+// (per-model queues + stride scheduling): a light batch is dispatched as soon
+// as a worker frees, regardless of how deep the heavy backlog is.
 //
-//   global-fifo     the PR 1 baseline — one global ready queue, so every
-//                   light batch waits behind the heavy model's whole backlog
-//   weighted-fair   per-model queues + stride scheduling (API v2 default) —
-//                   a light batch is dispatched as soon as a worker frees,
-//                   regardless of how deep the heavy backlog is
+//   $ ./serve_fairness [ms]
 //
-//   $ ./serve_fairness [ms_per_mode]
-//
-// The isolation win shows up as the light models' p99 latency dropping by
-// roughly the heavy backlog depth (queue bound / lanes). Absolute numbers
-// depend on the host; on the 1-core dev container both modes serialize onto
-// one worker, which COMPRESSES the gap — run on a multi-core host for the
-// full effect.
+// Prints each model's latency percentiles and the worst light-model p99.
 
 #include <atomic>
 #include <chrono>
@@ -35,25 +27,19 @@ using namespace lbnn::runtime;
 
 constexpr int kLightModels = 3;
 
-struct ModeResult {
-  ServeReport report;
-};
-
-ModeResult run_mode(EngineOptions::Scheduling mode, const Netlist& heavy_nl,
-                    const std::vector<Netlist>& light_nls,
-                    std::chrono::milliseconds run_for) {
+ServeReport run(const Netlist& heavy_nl, const std::vector<Netlist>& light_nls,
+               std::chrono::milliseconds run_for) {
   EngineOptions eopt;
   eopt.num_workers = 2;
   eopt.batch_timeout = std::chrono::microseconds(200);
   eopt.compile.lpu.m = 8;  // 16-lane words: quick compiles, busy batches
   eopt.compile.lpu.n = 8;
-  eopt.scheduling = mode;
   Engine engine(eopt);
 
   ModelOptions heavy_opt;
   heavy_opt.weight = 1;
-  // A standing backlog of ~8 batches: this is exactly the queue a light
-  // batch would have to wait behind under global FIFO.
+  // A standing backlog of ~8 batches: the queue a light batch would wait
+  // behind if one ready queue served every model in arrival order.
   heavy_opt.queue_bound = 8 * 16;
   const ModelHandle heavy = engine.load("heavy", heavy_nl, heavy_opt);
   std::vector<ModelHandle> lights;
@@ -100,24 +86,17 @@ ModeResult run_mode(EngineOptions::Scheduling mode, const Netlist& heavy_nl,
   saturator.join();
   for (auto& c : clients) c.join();
   engine.drain();
-  ModeResult r;
-  r.report = engine.report();
+  const ServeReport report = engine.report();
   engine.shutdown();
-  return r;
+  return report;
 }
 
-const char* mode_name(EngineOptions::Scheduling mode) {
-  return mode == EngineOptions::Scheduling::kGlobalFifo ? "global-fifo"
-                                                        : "weighted-fair";
-}
-
-void print_mode(EngineOptions::Scheduling mode, const ModeResult& r) {
-  std::cout << mode_name(mode) << ":\n";
+void print_models(const ServeReport& r) {
   std::cout << std::left << std::setw(12) << "  model" << std::right
             << std::setw(8) << "weight" << std::setw(10) << "reqs"
             << std::setw(10) << "p50us" << std::setw(10) << "p99us"
             << std::setw(9) << "q-hwm" << "\n";
-  for (const ModelReport& m : r.report.per_model) {
+  for (const ModelReport& m : r.per_model) {
     std::cout << "  " << std::left << std::setw(10) << m.name << std::right
               << std::setw(8) << m.weight << std::setw(10) << m.requests
               << std::setw(10) << m.p50_latency_us << std::setw(10)
@@ -126,9 +105,9 @@ void print_mode(EngineOptions::Scheduling mode, const ModeResult& r) {
   std::cout << "\n";
 }
 
-std::uint64_t worst_light_p99(const ModeResult& r) {
+std::uint64_t worst_light_p99(const ServeReport& r) {
   std::uint64_t worst = 0;
-  for (const ModelReport& m : r.report.per_model) {
+  for (const ModelReport& m : r.per_model) {
     if (m.name.rfind("light", 0) == 0 && m.p99_latency_us > worst) {
       worst = m.p99_latency_us;
     }
@@ -155,30 +134,18 @@ int main(int argc, char** argv) {
   std::cout << "one heavy model (" << heavy_nl.num_gates()
             << " gates, saturating) + " << kLightModels
             << " light models (sparse RPCs), " << run_for.count()
-            << " ms per mode, 2 workers on "
+            << " ms, weighted-fair, 2 workers on "
             << std::thread::hardware_concurrency() << " core(s)\n\n";
 
-  const ModeResult fifo = run_mode(EngineOptions::Scheduling::kGlobalFifo,
-                                   heavy_nl, light_nls, run_for);
-  print_mode(EngineOptions::Scheduling::kGlobalFifo, fifo);
-  const ModeResult fair = run_mode(EngineOptions::Scheduling::kWeightedFair,
-                                   heavy_nl, light_nls, run_for);
-  print_mode(EngineOptions::Scheduling::kWeightedFair, fair);
+  const ServeReport fair = run(heavy_nl, light_nls, run_for);
+  print_models(fair);
 
-  const std::uint64_t fifo_p99 = worst_light_p99(fifo);
   const std::uint64_t fair_p99 = worst_light_p99(fair);
-  std::cout << "worst light-model p99 under heavy saturation: "
-            << fifo_p99 << " us (global-fifo) -> " << fair_p99
-            << " us (weighted-fair)";
-  if (fair_p99 > 0 && fifo_p99 >= fair_p99) {
-    std::cout << ", " << std::fixed << std::setprecision(1)
-              << static_cast<double>(fifo_p99) / static_cast<double>(fair_p99)
-              << "x better";
-  }
-  std::cout << "\n";
+  std::cout << "worst light-model p99 under heavy saturation: " << fair_p99
+            << " us\n";
   lbnn::bench::emit_bench_json("serve_fairness",
-                               static_cast<double>(fair.report.p50_latency_us),
+                               static_cast<double>(fair.p50_latency_us),
                                static_cast<double>(fair_p99),
-                               fair.report.requests_per_sec, fair_p99 > 0);
+                               fair.requests_per_sec, fair_p99 > 0);
   return 0;
 }

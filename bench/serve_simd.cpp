@@ -14,8 +14,7 @@
 //
 //   scalar       EngineOptions::simd = false — the original BitVec-at-a-time
 //                interpreter, kept alive as the bit-exactness oracle (the
-//                same baseline pattern as member_stealing=false /
-//                hedging=false).
+//                same baseline pattern as hedging=false).
 //   bit-sliced   EngineOptions::simd = true (the default) — gate evaluation
 //                on packed 64-bit words across the full batch width, AVX2
 //                when the CPU has it (LBNN_NO_AVX2 / LBNN_FORCE_SCALAR

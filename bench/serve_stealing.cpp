@@ -1,33 +1,34 @@
-// Straggler hiding via member-level work stealing vs monolithic dispatch.
+// Straggler hiding via member-level work stealing vs serial member runs.
 //
 //   $ ./serve_stealing [rounds] [base_us] [slow_factor]
 //
 // One 4-member parallel assembly with an artificial straggler: the member
 // hook charges member 0 `slow_factor` x `base_us` of service time and every
-// other member `base_us` (sleep-based, so the comparison also works on the
-// 1-core dev container — sleeping threads overlap regardless of cores).
-// Both modes run the same closed-loop workload: seal one full batch, wait
-// for it, repeat; per-round batch latency feeds the percentiles.
+// other member `base_us` (sleep-based, so the overlap is real however few
+// cores the host has — sleeping threads overlap regardless of cores). Both
+// modes run the same closed-loop workload: seal one full batch, wait for it,
+// repeat; per-round batch latency feeds the percentiles.
 //
-//   monolithic   EngineOptions::member_stealing = false — the worker that
-//                dequeues the batch runs all 4 members itself, so every
-//                round pays 3 x base + slow sequentially.
-//   stealing     idle workers steal the remaining members off the batch's
-//                atomic cursor, so the fast members overlap the straggler
-//                and the round costs ~max(slow, base).
+//   one worker   the baseline: with one batch in flight per round and no
+//                idle worker to steal, the worker that dequeues the batch
+//                runs all 4 members itself, so every round pays
+//                3 x base + slow sequentially.
+//   stealing     4 workers: idle workers steal the remaining members off the
+//                batch's atomic cursor, so the fast members overlap the
+//                straggler and the round costs ~max(slow, base).
 //
-// The claim under test (ISSUE 4 acceptance): with one member slowed 8x,
-// p99 batch latency under member stealing is measurably below monolithic
-// dispatch. Expected ~(slow + 3 x base) vs ~slow: 22 ms vs 16 ms at the
-// defaults, a ~1.4x gap gated at 0.95x. The defaults are sized for a noisy
-// shared host: nanosleep oversleep outliers run to a few ms regardless of
-// the sleep length, so the structural gap (3 x base = 6 ms) must dominate
-// the worst single outlier. Each mode also runs a few unrecorded warmup
-// rounds (simulator construction, thread wake-up) and enough recorded
-// rounds that p99 is a real percentile rather than the single worst round;
-// and because a loaded kernel can still land two multi-ms oversleeps in one
-// mode's tail while sparing the other's, the gate is best-of-two — a flaky
-// host must get unlucky twice in a row to fail a real improvement.
+// The claim under test: with one member slowed 8x, p99 batch latency under
+// member stealing is measurably below serial member runs. Expected
+// ~(slow + 3 x base) vs ~slow: 22 ms vs 16 ms at the defaults, a ~1.4x gap
+// gated at 0.95x. The defaults are sized for a noisy shared host: nanosleep
+// oversleep outliers run to a few ms regardless of the sleep length, so the
+// structural gap (3 x base = 6 ms) must dominate the worst single outlier.
+// Each mode also runs a few unrecorded warmup rounds (simulator
+// construction, thread wake-up) and enough recorded rounds that p99 is a
+// real percentile rather than the single worst round; and because a loaded
+// kernel can still land two multi-ms oversleeps in one mode's tail while
+// sparing the other's, the gate is best-of-two — a flaky host must get
+// unlucky twice in a row to fail a real improvement.
 
 #include <algorithm>
 #include <chrono>
@@ -66,11 +67,11 @@ double percentile(std::vector<double> sorted_or_not, double p) {
   return sorted_or_not[rank];
 }
 
-ModeResult run_mode(bool stealing, const Netlist& nl, int rounds,
+ModeResult run_mode(std::uint32_t workers, const Netlist& nl, int rounds,
                     std::chrono::microseconds base,
                     std::chrono::microseconds slow) {
   EngineOptions eopt;
-  eopt.num_workers = kMembers;  // enough hands for every member of one batch
+  eopt.num_workers = workers;
   // Every round fills the lane, so batches always seal inline; a short
   // timeout would let the timekeeper split a round's 16 submits into two
   // batches whenever the submitting thread is preempted, doubling that
@@ -78,7 +79,6 @@ ModeResult run_mode(bool stealing, const Netlist& nl, int rounds,
   eopt.batch_timeout = std::chrono::hours(1);
   eopt.compile.lpu.m = 8;  // 16-lane words
   eopt.compile.lpu.n = 8;
-  eopt.member_stealing = stealing;
   // This bench isolates stealing; speculative duplicates of the slow member
   // would only burn sleeping workers here (the hook slows member 0 for every
   // executor). bench/serve_hedging measures hedging on its own.
@@ -164,27 +164,26 @@ int main(int argc, char** argv) {
     if (attempt > 0) {
       std::cout << "gate missed; retrying once (noisy host?)\n\n";
     }
-    const ModeResult mono =
-        run_mode(/*stealing=*/false, nl, rounds, base, slow);
-    print_mode("monolithic dispatch (member_stealing = false)", mono);
-    const ModeResult steal =
-        run_mode(/*stealing=*/true, nl, rounds, base, slow);
+    const ModeResult serial = run_mode(1, nl, rounds, base, slow);
+    print_mode("one worker (serial member runs)", serial);
+    // Enough hands for every member of one batch.
+    const ModeResult steal = run_mode(kMembers, nl, rounds, base, slow);
     print_mode("member stealing", steal);
 
     std::cout << "batch p99: " << std::fixed << std::setprecision(0)
-              << mono.p99_us << " -> " << steal.p99_us << " us";
+              << serial.p99_us << " -> " << steal.p99_us << " us";
     if (steal.p99_us > 0.0) {
-      std::cout << " (" << std::setprecision(2) << mono.p99_us / steal.p99_us
+      std::cout << " (" << std::setprecision(2) << serial.p99_us / steal.p99_us
                 << "x)";
     }
     std::cout << "\n";
-    ok = steal.p99_us < 0.95 * mono.p99_us && steal.report.steals > 0;
+    ok = steal.p99_us < 0.95 * serial.p99_us && steal.report.steals > 0;
     steal_p50 = steal.p50_us;
     steal_p99 = steal.p99_us;
     steal_rps = steal.report.requests_per_sec;
   }
   std::cout << (ok ? "PASS" : "FAIL")
-            << ": p99(stealing) < 0.95 x p99(monolithic) and steals > 0\n";
+            << ": p99(stealing) < 0.95 x p99(one worker) and steals > 0\n";
   lbnn::bench::emit_bench_json("serve_stealing", steal_p50, steal_p99,
                                steal_rps, ok);
   return ok ? 0 : 1;

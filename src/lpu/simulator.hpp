@@ -21,7 +21,7 @@ namespace lbnn {
 ///   kScalar  the original BitVec-at-a-time interpreter — one heap-backed
 ///            BitVec per register slot, eval_lut_into() per gate. Kept as the
 ///            bit-exactness oracle, the same baseline pattern as
-///            member_stealing=false / hedging=false.
+///            hedging=false.
 ///   kWord64  bit-sliced: all datapath rows live in one flat scratch arena of
 ///            packed 64-bit words and each gate op evaluates 64 batch samples
 ///            per word with zero per-gate allocations. Portable fallback.

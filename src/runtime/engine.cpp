@@ -73,6 +73,26 @@ bool claim_result(MemberSlot& slot) {
                                             claim_value(MemberClaim::kDone));
 }
 
+/// Best case: `workers` drain `items` work items in parallel, each costing
+/// the per-item service EWMA. 0 when the EWMA is 0 (no service signal).
+std::uint64_t drain_us(std::uint64_t ewma_item_us, std::size_t items,
+                       std::size_t workers) {
+  if (workers == 0) workers = 1;
+  return ewma_item_us * ((items + workers - 1) / workers);
+}
+
+/// Work items a new request queues behind, counted in the unit of the
+/// service EWMA: `queued_items` is the unclaimed members of already-sealed
+/// batches (a queued 4-member batch is 4 items, not 1), and the batch this
+/// request joins costs `members` items once it seals. That last term also
+/// makes requests parked in the still-open lane visible: they share the same
+/// future batch, so its full member cost is charged whether the lane holds
+/// one request or fifteen — a model with a loaded open lane can no longer
+/// accept a deadline that the lane's own seal-and-run time already busts.
+std::size_t work_items_ahead(const ModelProbe& p) {
+  return p.queued_items + p.members;
+}
+
 }  // namespace
 
 // No default case and no fallthrough return: -Wswitch (in -Wall) turns a
@@ -104,23 +124,17 @@ bool deadline_unmeetable(TimePoint deadline, TimePoint now,
   // the estimate stays deliberately optimistic.
   if (deadline < now) return true;
   if (ewma_item_us == 0) return false;  // no service-time signal yet
-  if (workers == 0) workers = 1;
-  // Best case: every worker drains this model's queue in parallel.
-  const std::uint64_t drain_us =
-      ewma_item_us * ((items_ahead + workers - 1) / workers);
-  return now + std::chrono::microseconds(drain_us) > deadline;
+  const std::uint64_t drain = drain_us(ewma_item_us, items_ahead, workers);
+  return now + std::chrono::microseconds(drain) > deadline;
 }
 
 std::uint64_t ModelProbe::drain_estimate_us() const {
-  if (ewma_item_us == 0) return 0;  // no service signal: nothing to estimate
-  const std::size_t w = workers == 0 ? 1 : workers;
-  const std::size_t items = queued_items + members;
-  return ewma_item_us * ((items + w - 1) / w);
+  return drain_us(ewma_item_us, work_items_ahead(*this), workers);
 }
 
 /// One sealed batch in flight. Its assembly members are claimed one at a
-/// time from `next_member` — by the worker that dequeued the batch and, when
-/// member stealing is on, by idle workers picking it off Impl::stealable.
+/// time from `next_member` — by the worker that dequeued the batch and by
+/// idle workers stealing it off Impl::dispatched.
 /// Members write disjoint slots of `outputs` (their own po_indices) and their
 /// own MemberSlot, so no lock is needed on the data plane; the last member to
 /// finish (members_left, the completion latch) finalizes. Holds a shared_ptr
@@ -132,7 +146,7 @@ struct Engine::BatchWork {
   std::vector<MemberSlot> slots;  ///< one per assembly member (from the batcher)
   std::vector<BitVec> inputs;   ///< packed PIs, width == requests.size()
   std::vector<BitVec> outputs;  ///< original PO order
-  std::uint64_t seq = 0;        ///< global enqueue order, for kGlobalFifo
+  std::uint64_t seq = 0;        ///< global enqueue order; the trace's batch id
   /// Phase-decomposition stamps (us by the engine clock). sealed_at_us is
   /// written by the sealing thread before the batch enters the ready queue;
   /// dispatched_at_us by the popping worker inside the scheduler critical
@@ -242,6 +256,17 @@ const ModelState& deref(const std::shared_ptr<ModelState>& state) {
   return *state;
 }
 
+/// The lock-free counters the drain estimate reads, sampled from `m` — the
+/// same for admission shedding and for probe().
+ModelProbe estimate_inputs(const ModelState& m, std::size_t workers) {
+  ModelProbe p;
+  p.queued_items = m.queued_items.load(std::memory_order_relaxed);
+  p.members = m.members.size();
+  p.ewma_item_us = m.ewma_item_us.load(std::memory_order_relaxed);
+  p.workers = workers;
+  return p;
+}
+
 }  // namespace
 
 const std::string& ModelHandle::name() const { return deref(state_).name; }
@@ -271,27 +296,20 @@ struct Engine::Impl {
   std::atomic<std::uint64_t> next_req_id{1};
 
   /// Scheduler: models with a non-empty ready deque. Workers pick the lowest
-  /// pass (weighted-fair) or the oldest front batch (global FIFO).
+  /// pass (weighted-fair).
   std::mutex queue_mu;
   std::condition_variable queue_cv;
   std::vector<ModelState*> ready_models;
   std::uint64_t vtime = 0;  ///< pass of the most recently dispatched batch
   std::uint64_t next_seq = 0;
   bool stopping = false;
-  /// In-flight multi-member batches with unclaimed members, published by the
-  /// dequeuing worker so idle workers can steal work before sleeping.
-  /// Entries whose cursor is exhausted are pruned lazily during steal scans
-  /// (the shared_ptr keeps a finished batch's husk alive a little longer —
-  /// harmless). Guarded by queue_mu; the member claim itself is the atomic
-  /// cursor, so claimers never take this lock between members.
-  std::vector<std::shared_ptr<Engine::BatchWork>> stealable;
-  /// In-flight batches eligible for straggler hedging (every dispatched
-  /// batch while EngineOptions::hedging is on — a batch only becomes a
-  /// candidate once it is down to its last unfinished member, but that is a
-  /// property of time, not of publication). Pruned of finalized husks during
-  /// hedge scans and on every scheduler pop. Guarded by queue_mu; the hedge
-  /// claim itself is the slot's atomic state machine.
-  std::vector<std::shared_ptr<Engine::BatchWork>> hedgeable;
+  /// Dispatched batches idle workers may steal members from (multi-member
+  /// batches) or hedge (every batch while EngineOptions::hedging is on).
+  /// Finalized husks are pruned before every scheduler pop and idle scan.
+  /// Guarded by queue_mu; the member claim itself is the atomic cursor and
+  /// the hedge claim the slot's atomic state machine, so claimers never take
+  /// this lock between members.
+  std::vector<std::shared_ptr<Engine::BatchWork>> dispatched;
   /// Bumped (under queue_mu) whenever idle-worker-relevant state changes
   /// outside ready_models — a batch published for stealing, or a member
   /// transition that creates a hedge trigger. A worker parked on a
@@ -418,10 +436,8 @@ ModelHandle Engine::register_model(std::shared_ptr<ModelState> state,
   // model's pass at the minimum and starve every other model forever.
   state->stride = kStrideScale / state->weight.load();
   if (state->stride == 0) state->stride = 1;
-  std::size_t bound = mopt.queue_bound;
-  if (bound == 0) bound = options_.default_queue_bound;
-  if (bound == 0) bound = 4 * lane_capacity;
-  state->queue_bound = bound;
+  state->queue_bound =
+      mopt.queue_bound != 0 ? mopt.queue_bound : 4 * lane_capacity;
   state->default_deadline = mopt.default_deadline;
   state->self = state;
   state->last_used_us.store(to_us(clock_->now()));
@@ -567,12 +583,8 @@ std::vector<std::shared_ptr<ModelState>> Engine::model_snapshot() const {
 
 ModelProbe Engine::probe(const ModelHandle& model) const {
   ModelState* m = state_of(model);
-  ModelProbe p;
+  ModelProbe p = estimate_inputs(*m, workers_.size());
   p.loaded = m->accepting.load();
-  p.queued_items = m->queued_items.load(std::memory_order_relaxed);
-  p.members = m->members.size();
-  p.ewma_item_us = m->ewma_item_us.load(std::memory_order_relaxed);
-  p.workers = workers_.size();
   {
     std::lock_guard<std::mutex> lk(m->mu);
     p.outstanding = m->outstanding;
@@ -607,30 +619,46 @@ TimePoint effective_deadline(const ModelState& m, TimePoint requested,
   return now + m.default_deadline;
 }
 
-}  // namespace
-
 /// Would admitting a request with this deadline be dead work, given the
-/// model's queued work and its recent service rate? Everything is counted in
-/// member work items — the unit of the service EWMA: `queued_items` is the
-/// unclaimed members of already-sealed batches (a queued 4-member batch is 4
-/// items, not 1), and the batch this request joins costs `members.size()`
-/// items once it seals. That last term also makes requests parked in the
-/// still-open lane visible: they share the same future batch, so its full
-/// member cost is charged whether the lane holds one request or fifteen —
-/// a model with a loaded open lane can no longer accept a deadline that the
-/// lane's own seal-and-run time already busts.
-static bool shed_check(const ModelState& m, TimePoint deadline, TimePoint now,
-                       std::size_t workers) {
-  const std::size_t items_ahead =
-      m.queued_items.load(std::memory_order_relaxed) + m.members.size();
-  return deadline_unmeetable(deadline, now,
-                             m.ewma_item_us.load(std::memory_order_relaxed),
-                             items_ahead, workers);
+/// model's queued work (see work_items_ahead) and its recent service rate?
+bool shed_check(const ModelState& m, TimePoint deadline, TimePoint now,
+                std::size_t workers) {
+  const ModelProbe p = estimate_inputs(m, workers);
+  return deadline_unmeetable(deadline, now, p.ewma_item_us,
+                             work_items_ahead(p), p.workers);
 }
+
+}  // namespace
 
 std::future<std::vector<bool>> Engine::submit(const ModelHandle& model,
                                               std::vector<bool> inputs,
                                               TimePoint deadline) {
+  std::future<std::vector<bool>> fut;
+  const SubmitStatus status =
+      admit(model, std::move(inputs), deadline, /*block=*/true, &fut);
+  if (status == SubmitStatus::kShuttingDown) throw Error("engine is shut down");
+  if (status == SubmitStatus::kUnloaded) {
+    throw Error("model '" + model.name() + "' is unloaded");
+  }
+  if (status == SubmitStatus::kDeadlineUnmeetable) {
+    throw DeadlineExceeded("model '" + model.name() +
+                           "': estimated drain time exceeds the deadline");
+  }
+  LBNN_CHECK(status == SubmitStatus::kAccepted,
+             "blocking admission returned " << to_string(status));
+  return fut;
+}
+
+SubmitStatus Engine::try_submit(const ModelHandle& model,
+                                std::vector<bool> inputs,
+                                std::future<std::vector<bool>>* result,
+                                TimePoint deadline) {
+  return admit(model, std::move(inputs), deadline, /*block=*/false, result);
+}
+
+SubmitStatus Engine::admit(const ModelHandle& model, std::vector<bool>&& inputs,
+                           TimePoint deadline, bool block,
+                           std::future<std::vector<bool>>* result) {
   ModelState* m = state_of(model);
   check_arity(*m, inputs.size());
   TimePoint now = clock_->now();
@@ -645,66 +673,48 @@ std::future<std::vector<bool>> Engine::submit(const ModelHandle& model,
   // (drain waits for us; timer/workers stay alive until we're answered) or it
   // lands after, in which case accepting is already false here and we bail.
   impl_->in_flight.fetch_add(1);
-  {
-    std::unique_lock<std::mutex> lk(m->mu);
-    const auto shed = [&]() -> void {
-      lk.unlock();
+  // Lifecycle states outrank shedding (a shut-down engine reports shutdown,
+  // not a shed), and shedding precedes the bound: a doomed request fails in
+  // microseconds instead of waiting out a slot it could only waste. Runs
+  // under m->mu.
+  const auto ladder = [&] {
+    if (!impl_->accepting.load()) return SubmitStatus::kShuttingDown;
+    if (!m->accepting.load()) return SubmitStatus::kUnloaded;
+    if (shed_check(*m, deadline, now, workers_.size())) {
+      return SubmitStatus::kDeadlineUnmeetable;
+    }
+    if (m->outstanding < m->queue_bound) return SubmitStatus::kAccepted;
+    return SubmitStatus::kQueueFull;
+  };
+  std::unique_lock<std::mutex> lk(m->mu);
+  SubmitStatus status = ladder();
+  // A blocked caller re-runs the whole ladder on every wake, at the new time:
+  // backpressure may have parked it long enough for its deadline to become
+  // unmeetable.
+  while (block && status == SubmitStatus::kQueueFull) {
+    m->cv.wait(lk);
+    now = clock_->now();
+    status = ladder();
+  }
+  if (status == SubmitStatus::kAccepted) ++m->outstanding;
+  lk.unlock();
+  if (status != SubmitStatus::kAccepted) {
+    if (status == SubmitStatus::kDeadlineUnmeetable) {
       stats_.on_shed();
       m->stats.on_shed();
       emit_trace(Tracer::kSharedTrack, TraceEventType::kShed, m->id, req_id);
-      release_requests(1);
-      throw DeadlineExceeded("model '" + m->name +
-                             "': estimated drain time exceeds the deadline");
-    };
-    // Shed BEFORE parking on backpressure — a doomed request must fail in
-    // microseconds, not after waiting out a slot it could only waste. But
-    // lifecycle states take precedence (mirroring try_submit's ordering):
-    // a shut-down engine reports shutdown, not a shed.
-    if (impl_->accepting.load() && m->accepting.load() &&
-        shed_check(*m, deadline, now, workers_.size())) {
-      shed();
     }
-    // Backpressure: wait for an admission slot instead of growing unboundedly.
-    m->cv.wait(lk, [&] {
-      return !impl_->accepting.load() || !m->accepting.load() ||
-             m->outstanding < m->queue_bound;
-    });
-    if (!impl_->accepting.load()) {
-      lk.unlock();
-      release_requests(1);
-      throw Error("engine is shut down");
-    }
-    if (!m->accepting.load()) {
-      lk.unlock();
-      release_requests(1);
-      throw Error("model '" + m->name + "' is unloaded");
-    }
-    // Re-check after the wait: backpressure may have parked us long enough
-    // that the deadline became unmeetable in the meantime.
-    if (deadline != kNoDeadline) {
-      now = clock_->now();
-      if (shed_check(*m, deadline, now, workers_.size())) shed();
-    }
-    ++m->outstanding;
+    release_requests(1);
+    return status;
   }
-  return dispatch_admitted(m, std::move(inputs), deadline, req_id);
-}
-
-/// Post-admission tail shared by submit() and try_submit(). The caller has
-/// claimed in_flight and incremented m->outstanding; this hands the request
-/// to the batcher (rolling both claims back if it throws) and re-arms the
-/// timekeeper when a new batch deadline appeared.
-std::future<std::vector<bool>> Engine::dispatch_admitted(
-    ModelState* m, std::vector<bool>&& inputs, TimePoint deadline,
-    std::uint64_t req_id) {
-  m->last_used_us.store(to_us(clock_->now()));
+  m->last_used_us.store(to_us(now));
   // kAdmit BEFORE the batcher call: a lane-full submit seals inline, and the
   // admit of the sealing request must precede its batch's seal in the stream.
   emit_trace(Tracer::kSharedTrack, TraceEventType::kAdmit, m->id, req_id);
-  std::future<std::vector<bool>> fut;
   bool opened_batch = false;
   try {
-    fut = m->batcher->submit(std::move(inputs), deadline, &opened_batch, req_id);
+    *result =
+        m->batcher->submit(std::move(inputs), deadline, &opened_batch, req_id);
   } catch (...) {
     {
       std::lock_guard<std::mutex> lk(m->mu);
@@ -722,47 +732,6 @@ std::future<std::vector<bool>> Engine::dispatch_admitted(
     }
     impl_->timer_cv.notify_one();
   }
-  return fut;
-}
-
-SubmitStatus Engine::try_submit(const ModelHandle& model,
-                                std::vector<bool> inputs,
-                                std::future<std::vector<bool>>* result,
-                                TimePoint deadline) {
-  ModelState* m = state_of(model);
-  check_arity(*m, inputs.size());
-  const TimePoint now = clock_->now();
-  deadline = effective_deadline(*m, deadline, now);
-  const std::uint64_t req_id =
-      impl_->next_req_id.fetch_add(1, std::memory_order_relaxed);
-  emit_trace(Tracer::kSharedTrack, TraceEventType::kSubmit, m->id, req_id, 0,
-             deadline == kNoDeadline ? 0
-                                     : static_cast<std::uint64_t>(to_us(deadline)));
-  impl_->in_flight.fetch_add(1);  // same claim-first rationale as submit()
-  {
-    std::lock_guard<std::mutex> lk(m->mu);
-    if (!impl_->accepting.load()) {
-      release_requests(1);
-      return SubmitStatus::kShuttingDown;
-    }
-    if (!m->accepting.load()) {
-      release_requests(1);
-      return SubmitStatus::kUnloaded;
-    }
-    if (shed_check(*m, deadline, now, workers_.size())) {
-      stats_.on_shed();
-      m->stats.on_shed();
-      emit_trace(Tracer::kSharedTrack, TraceEventType::kShed, m->id, req_id);
-      release_requests(1);
-      return SubmitStatus::kDeadlineUnmeetable;
-    }
-    if (m->outstanding >= m->queue_bound) {
-      release_requests(1);
-      return SubmitStatus::kQueueFull;
-    }
-    ++m->outstanding;
-  }
-  *result = dispatch_admitted(m, std::move(inputs), deadline, req_id);
   return SubmitStatus::kAccepted;
 }
 
@@ -939,26 +908,13 @@ struct Engine::WorkerContext {
   std::size_t track = 0;         ///< this worker's trace ring (1 + worker index)
 };
 
-void Engine::prune_stealable_locked() {
-  auto& stealable = impl_->stealable;
-  for (std::size_t i = 0; i < stealable.size();) {
-    if (stealable[i]->next_member.load(std::memory_order_relaxed) >=
-        stealable[i]->slots.size()) {
-      stealable[i] = std::move(stealable.back());
-      stealable.pop_back();
-    } else {
-      ++i;
-    }
-  }
-}
-
-void Engine::prune_hedgeable_locked() {
-  auto& hedgeable = impl_->hedgeable;
-  for (std::size_t i = 0; i < hedgeable.size();) {
-    if (hedgeable[i]->members_left.load() == 0) {
+void Engine::prune_dispatched_locked() {
+  auto& dispatched = impl_->dispatched;
+  for (std::size_t i = 0; i < dispatched.size();) {
+    if (dispatched[i]->members_left.load() == 0) {
       // Finalized husk: prune (swap-pop keeps the sweep O(entries)).
-      hedgeable[i] = std::move(hedgeable.back());
-      hedgeable.pop_back();
+      dispatched[i] = std::move(dispatched.back());
+      dispatched.pop_back();
     } else {
       ++i;
     }
@@ -967,10 +923,9 @@ void Engine::prune_hedgeable_locked() {
 
 bool Engine::try_hedge_locked(TimePoint now, std::shared_ptr<BatchWork>* work,
                               std::size_t* member, TimePoint* next_due) {
-  prune_hedgeable_locked();
-  auto& hedgeable = impl_->hedgeable;
-  for (std::size_t i = 0; i < hedgeable.size(); ++i) {
-    BatchWork& candidate = *hedgeable[i];
+  auto& dispatched = impl_->dispatched;
+  for (std::size_t i = 0; i < dispatched.size(); ++i) {
+    BatchWork& candidate = *dispatched[i];
     // Only the LAST unfinished member is hedge-eligible, and only once every
     // member has been claimed — an unclaimed member is work for stealing,
     // not for duplication. (members_left can hit 0 mid-scan; the next sweep
@@ -1004,7 +959,7 @@ bool Engine::try_hedge_locked(TimePoint now, std::shared_ptr<BatchWork>* work,
         std::uint8_t expected = claim_value(MemberClaim::kRunning);
         if (slot.claim.compare_exchange_strong(
                 expected, claim_value(MemberClaim::kHedged))) {
-          *work = hedgeable[i];
+          *work = dispatched[i];
           *member = s;
           return true;
         }
@@ -1019,24 +974,24 @@ bool Engine::try_hedge_locked(TimePoint now, std::shared_ptr<BatchWork>* work,
 
 bool Engine::try_steal_locked(std::shared_ptr<BatchWork>* work,
                               std::size_t* member) {
-  auto& stealable = impl_->stealable;
-  for (std::size_t i = 0; i < stealable.size();) {
-    BatchWork& candidate = *stealable[i];
+  for (const auto& entry : impl_->dispatched) {
+    BatchWork& candidate = *entry;
     const std::size_t total = candidate.slots.size();
+    // A single-member batch is listed only for hedging: its one member
+    // belongs to the worker that dequeued it. Skip exhausted cursors too.
+    if (total < 2 ||
+        candidate.next_member.load(std::memory_order_relaxed) >= total) {
+      continue;
+    }
     // The claim races the batch's own claimer (who holds no lock): fetch_add
     // both reserves an index and detects exhaustion.
-    if (candidate.next_member.load(std::memory_order_relaxed) < total) {
-      const std::size_t claimed = candidate.next_member.fetch_add(1);
-      if (claimed < total) {
-        candidate.model->queued_items.fetch_sub(1, std::memory_order_relaxed);
-        *work = stealable[i];
-        *member = claimed;
-        return true;
-      }
+    const std::size_t claimed = candidate.next_member.fetch_add(1);
+    if (claimed < total) {
+      candidate.model->queued_items.fetch_sub(1, std::memory_order_relaxed);
+      *work = entry;
+      *member = claimed;
+      return true;
     }
-    // Exhausted husk: prune (swap-pop keeps the scan O(entries)).
-    stealable[i] = std::move(stealable.back());
-    stealable.pop_back();
   }
   return false;
 }
@@ -1044,8 +999,6 @@ bool Engine::try_steal_locked(std::shared_ptr<BatchWork>* work,
 void Engine::worker_loop(std::size_t track) {
   WorkerContext ctx;
   ctx.track = track;
-  const bool fifo =
-      options_.scheduling == EngineOptions::Scheduling::kGlobalFifo;
   for (;;) {
     std::shared_ptr<BatchWork> work;
     std::size_t stolen_member = 0;
@@ -1057,21 +1010,18 @@ void Engine::worker_loop(std::size_t track) {
     {
       std::unique_lock<std::mutex> lk(impl_->queue_mu);
       for (;;) {
+        // Sweep finished husks out of the in-flight list first — under
+        // sustained load the pop path below is the only one that runs, and
+        // the list must not grow with every batch served.
+        if (!impl_->dispatched.empty()) prune_dispatched_locked();
         if (!impl_->ready_models.empty()) {
-          // Claim phase 1: a fresh batch from the scheduler. Sweep finished
-          // husks out of the stealable/hedgeable lists first — under
-          // sustained load this pop path is the only one that runs, and the
-          // lists must not grow with every batch served.
-          if (!impl_->stealable.empty()) prune_stealable_locked();
-          if (!impl_->hedgeable.empty()) prune_hedgeable_locked();
+          // Claim phase 1: a fresh batch from the scheduler.
           std::size_t best = 0;
           for (std::size_t i = 1; i < impl_->ready_models.size(); ++i) {
-            const ModelState* a = impl_->ready_models[i];
-            const ModelState* b = impl_->ready_models[best];
-            const bool better = fifo
-                                    ? a->ready.front()->seq < b->ready.front()->seq
-                                    : a->pass < b->pass;
-            if (better) best = i;
+            if (impl_->ready_models[i]->pass <
+                impl_->ready_models[best]->pass) {
+              best = i;
+            }
           }
           ModelState* m = impl_->ready_models[best];
           work = std::move(m->ready.front());
@@ -1089,28 +1039,28 @@ void Engine::worker_loop(std::size_t track) {
             impl_->ready_models.pop_back();
             m->in_ready_list = false;
           }
-          if (options_.member_stealing && work->slots.size() > 1) {
+          if (work->slots.size() > 1) {
             // Publish the batch so idle workers steal members we have not
             // claimed yet; visible before any of them can miss a wakeup
             // (the notify below happens after this critical section), and
             // epoch-stamped so a worker parked on a far hedge trigger
             // re-scans instead of sleeping past stealable work.
-            impl_->stealable.push_back(work);
             ++impl_->wake_epoch;
             published = true;
           }
           // Hedge candidates need no wakeup yet: a batch only matters to an
           // idle worker once it is down to its last unfinished member, and
           // run_member notifies at exactly that transition.
-          if (options_.hedging) impl_->hedgeable.push_back(work);
+          if (published || options_.hedging) {
+            impl_->dispatched.push_back(work);
+          }
           hook = impl_->dispatch_hook;
           member_hook = impl_->member_hook;
           break;
         }
         // Claim phase 2: steal a member from an in-flight batch rather than
         // sleep while a sibling straggles.
-        if (options_.member_stealing &&
-            try_steal_locked(&work, &stolen_member)) {
+        if (try_steal_locked(&work, &stolen_member)) {
           stolen = true;
           member_hook = impl_->member_hook;
           break;

@@ -36,7 +36,7 @@ struct ModelOptions {
   /// Maximum outstanding (accepted but unanswered) requests for this model.
   /// submit() blocks when the bound is reached — real backpressure instead of
   /// unbounded in-flight growth — and try_submit() returns kQueueFull.
-  /// 0 means the engine default (EngineOptions::default_queue_bound).
+  /// 0 means 4x the model's lane capacity (a few batches of headroom).
   std::size_t queue_bound = 0;
   /// Weighted-fair share of worker time relative to the other loaded models
   /// (stride scheduling): with both backlogged, a weight-4 model is
@@ -117,23 +117,6 @@ struct EngineOptions {
   std::size_t cache_capacity = 16;
   /// Compile flow configuration for every load call.
   CompileOptions compile;
-  /// How workers pick among models with queued work.
-  enum class Scheduling : std::uint8_t {
-    /// Stride scheduling over ModelOptions::weight: backlogged heavy models
-    /// cannot starve light ones (the v2 default).
-    kWeightedFair,
-    /// Oldest sealed batch first across all models — the PR 1 single global
-    /// ready queue, kept as the fairness baseline (see bench/serve_fairness).
-    kGlobalFifo,
-  };
-  Scheduling scheduling = Scheduling::kWeightedFair;
-  /// Member-level work stealing: the worker that dequeues a batch claims its
-  /// assembly members one at a time from an atomic cursor, and idle workers
-  /// steal the remaining members before sleeping — a slow member no longer
-  /// serializes its siblings, and one wide batch can use every core. false
-  /// reverts to monolithic dispatch (the dequeuing worker runs every member
-  /// itself), kept as the baseline for bench/serve_stealing.
-  bool member_stealing = true;
   /// Speculative straggler hedging: stealing moves unstarted work, it cannot
   /// shorten a member that is already running slowly. When an in-flight
   /// batch is down to its LAST unfinished member and that member has been
@@ -156,9 +139,8 @@ struct EngineOptions {
   /// arena, runtime CPU dispatch — see lbnn::SimdKernel) instead of the
   /// BitVec-at-a-time scalar interpreter. Bit-exact either way; false keeps
   /// the scalar oracle as the baseline for bench/serve_simd, the same
-  /// pattern as member_stealing=false / hedging=false. The
-  /// LBNN_FORCE_SCALAR / LBNN_NO_AVX2 environment overrides apply on top
-  /// (CI's forced-fallback legs).
+  /// pattern as hedging=false. The LBNN_FORCE_SCALAR / LBNN_NO_AVX2
+  /// environment overrides apply on top (CI's forced-fallback legs).
   bool simd = true;
   /// AOT-compiled member execution behind the executor seam. Each load also
   /// kicks off a background codegen job (overlapping serving — requests run
@@ -179,9 +161,6 @@ struct EngineOptions {
   /// atomic publish protocol makes concurrent writers safe. Empty means a
   /// private per-process temp directory, removed at shutdown.
   std::string artifact_dir;
-  /// ModelOptions::queue_bound fallback when a load leaves it 0; 0 here means
-  /// 4x the model's lane capacity (a few batches of headroom).
-  std::size_t default_queue_bound = 0;
   /// Time source for every runtime stamp (batch seal deadlines, request
   /// deadlines, latency/goodput accounting, idle eviction). nullptr means the
   /// system steady clock; tests inject a ManualClock for deterministic
@@ -214,12 +193,11 @@ struct EngineOptions {
 /// exerts backpressure on its own clients only. For multi-LPU models every
 /// assembly member is an independently claimable work item: the dequeuing
 /// worker claims members from the batch's atomic cursor while idle workers
-/// steal the rest (EngineOptions::member_stealing), so one straggling member
-/// cannot serialize its batch. When even the last member is already running
-/// but slow, idle workers speculatively duplicate it
-/// (EngineOptions::hedging): the first copy to finish wins the member's
-/// result slot atomically and the loser is cancelled — migration moves work,
-/// hedging shortens it.
+/// steal the rest, so one straggling member cannot serialize its batch. When
+/// even the last member is already running but slow, idle workers
+/// speculatively duplicate it (EngineOptions::hedging): the first copy to
+/// finish wins the member's result slot atomically and the loser is
+/// cancelled — migration moves work, hedging shortens it.
 ///
 /// Lifecycle: load() / load_parallel() / load_async() return ref-counted
 /// ModelHandles; unload() (or evict_idle()) drains a model's outstanding
@@ -258,7 +236,8 @@ class Engine {
   /// Blocks while the model's queue bound is reached (backpressure). Throws
   /// lbnn::Error on an empty/foreign handle, arity mismatch, unloaded model,
   /// or engine shutdown — and DeadlineExceeded when the model's estimated
-  /// drain time already exceeds the deadline (admission shedding). The
+  /// drain time already exceeds the deadline (admission shedding, checked
+  /// again each time a blocked submit wakes). The
   /// request's deadline is `deadline` if given, else admission time +
   /// ModelOptions::default_deadline when that is set, else none. A request
   /// still queued past its deadline is dropped at dequeue: its future fails
@@ -427,10 +406,12 @@ class Engine {
                              std::size_t lane_capacity,
                              const ModelOptions& mopt);
   ModelState* state_of(const ModelHandle& handle) const;
-  std::future<std::vector<bool>> dispatch_admitted(ModelState* m,
-                                                   std::vector<bool>&& inputs,
-                                                   TimePoint deadline,
-                                                   std::uint64_t req_id);
+  /// The admission ladder behind submit() and try_submit(). A full queue
+  /// returns kQueueFull unless `block`, which waits for space and re-runs the
+  /// whole ladder. On kAccepted, *result holds the future.
+  SubmitStatus admit(const ModelHandle& model, std::vector<bool>&& inputs,
+                     TimePoint deadline, bool block,
+                     std::future<std::vector<bool>>* result);
   /// Null-check-and-emit: one call per lifecycle transition site. With
   /// tracing off this is a single branch.
   void emit_trace(std::size_t track, TraceEventType type, std::uint64_t model_id,
@@ -446,20 +427,15 @@ class Engine {
   void run_member(BatchWork& work, std::size_t member, bool stolen, bool hedge,
                   WorkerContext& ctx,
                   const std::shared_ptr<const MemberHook>& hook);
-  /// Claim one unclaimed member from an in-flight batch, pruning exhausted
-  /// entries. Called with queue_mu held; returns false when nothing is
-  /// stealable.
+  /// Claim one unclaimed member from a multi-member in-flight batch. Called
+  /// with queue_mu held; returns false when nothing is stealable.
   bool try_steal_locked(std::shared_ptr<BatchWork>* work, std::size_t* member);
-  /// Drop exhausted batch husks from the stealable list. Called with
-  /// queue_mu held on every scheduler pop — under sustained load workers
-  /// never reach the steal phase, and without this sweep every finished
-  /// multi-member batch would stay pinned (requests, packed lanes, and its
-  /// model's state) for the whole busy period.
-  void prune_stealable_locked();
-  /// Drop finalized husks (members_left == 0) from the hedgeable list.
-  /// Called with queue_mu held on scheduler pops and before hedge scans —
-  /// the same growth-bound rationale as prune_stealable_locked.
-  void prune_hedgeable_locked();
+  /// Drop finalized husks (members_left == 0) from the in-flight list. Called
+  /// with queue_mu held before every scheduler pop and idle scan — under
+  /// sustained load workers never reach the steal or hedge phase, and without
+  /// this sweep every finished batch would stay pinned (requests, packed
+  /// lanes, and its model's state) for the whole busy period.
+  void prune_dispatched_locked();
   /// Hedge-candidate scan, called with queue_mu held by a worker with
   /// nothing to dispatch or steal. Finds an in-flight batch whose LAST
   /// unfinished member (members_left == 1, every member claimed) has been
@@ -468,7 +444,7 @@ class Engine {
   /// kHedged — at most one duplicate per member, ever. Returns true with the
   /// batch/member to duplicate; otherwise sets *next_due to the earliest
   /// future trigger among current candidates (kNoDeadline when none), so the
-  /// caller can sleep until exactly then. Prunes finalized husks.
+  /// caller can sleep until exactly then.
   bool try_hedge_locked(TimePoint now, std::shared_ptr<BatchWork>* work,
                         std::size_t* member, TimePoint* next_due);
   /// Fail already-expired requests of a just-claimed batch (first member

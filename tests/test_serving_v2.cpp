@@ -657,9 +657,24 @@ TEST(AdmissionV2, PastDeadlineShedsAtAdmission) {
   EXPECT_EQ(rep.deadline_met, 1u);
   EXPECT_EQ(rep.expired, 0u);
 
-  // Lifecycle states outrank shedding: after shutdown, a doomed-deadline
-  // submit reports the shutdown (plain Error), never DeadlineExceeded, and
-  // records nothing in the shed counters.
+  // Lifecycle states outrank shedding: to an unloaded model, or after
+  // shutdown, a doomed-deadline submit reports the lifecycle state (plain
+  // Error), never DeadlineExceeded, and records nothing in the shed counters.
+  const ModelHandle gone = engine.load("gone", nl);
+  ASSERT_TRUE(engine.unload(gone));
+  EXPECT_EQ(engine.try_submit(gone, bits, &fut,
+                              clock.now() - std::chrono::hours(1)),
+            SubmitStatus::kUnloaded);
+  try {
+    engine.submit(gone, bits, clock.now() - std::chrono::hours(1));
+    FAIL() << "submit to an unloaded model must throw";
+  } catch (const DeadlineExceeded&) {
+    FAIL() << "unload must take precedence over deadline shedding";
+  } catch (const Error&) {
+    // expected: "model 'gone' is unloaded"
+  }
+  EXPECT_EQ(engine.report().shed, 2u);
+
   engine.shutdown();
   try {
     engine.submit(grid, bits, clock.now() - std::chrono::hours(1));
@@ -670,6 +685,53 @@ TEST(AdmissionV2, PastDeadlineShedsAtAdmission) {
     // expected: "engine is shut down"
   }
   EXPECT_EQ(engine.report().shed, 2u);  // unchanged by the post-shutdown probe
+}
+
+// A blocking submit parked on backpressure re-runs the whole admission
+// ladder when capacity frees: once its deadline has turned unmeetable it is
+// shed, never admitted. The batch that frees the slot advances the clock by
+// 2 ms inside its member run, which also teaches the service EWMA 2 ms. So
+// whether the submitter parks first (the common case: it has claimed its
+// in-flight slot before drain() starts), reads the clock only after the
+// advance, or read it before but reaches the ladder after the slot freed,
+// its 1 ms deadline is unmeetable — the test needs no sleep.
+TEST(AdmissionV2, ParkedSubmitShedsWhenDeadlinePasses) {
+  ManualClock clock;
+  Rng gen(123);
+  const Netlist nl = reconvergent_grid(8, 4, gen);
+  EngineOptions eopt = small_engine(1);
+  eopt.batch_timeout = std::chrono::hours(1);
+  eopt.clock = &clock;
+  Engine engine(eopt);
+  ModelOptions mopt;
+  mopt.queue_bound = 4;
+  const ModelHandle grid = engine.load("grid", nl, mopt);
+  engine.set_member_hook([&](const std::string&, std::size_t, bool) {
+    clock.advance(std::chrono::milliseconds(2));
+  });
+
+  const std::vector<bool> bits(nl.num_inputs(), true);
+  std::vector<std::future<std::vector<bool>>> futs;
+  for (int i = 0; i < 4; ++i) futs.push_back(engine.submit(grid, bits));
+  const TimePoint deadline = clock.now() + std::chrono::milliseconds(1);
+  std::atomic<bool> shed{false};
+  std::thread parked([&] {
+    try {
+      engine.submit(grid, bits, deadline);
+    } catch (const DeadlineExceeded&) {
+      shed.store(true);
+    }
+  });
+  while (engine.in_flight() < 5) std::this_thread::yield();
+  engine.drain();  // runs the 4 queued requests, freeing the parked slot
+  parked.join();
+  engine.set_member_hook(nullptr);
+
+  EXPECT_TRUE(shed.load());
+  for (auto& f : futs) EXPECT_EQ(f.get(), simulate_scalar(nl, bits));
+  const ServeReport rep = engine.report();
+  EXPECT_EQ(rep.shed, 1u);
+  EXPECT_EQ(rep.requests, 4u);
 }
 
 namespace {
@@ -855,29 +917,6 @@ TEST(StealingV2, IdleWorkersStealMembersFromInFlightBatch) {
   gate.release();
   engine.drain();
   engine.set_dispatch_hook(nullptr);
-}
-
-// EngineOptions::member_stealing = false is the monolithic baseline: the
-// dequeuing worker runs every member itself and nothing is ever stolen.
-TEST(StealingV2, MonolithicDispatchRunsAllMembersOnClaimer) {
-  Rng gen(131);
-  const Netlist nl = random_dag(wide_dag_spec(), gen);
-  EngineOptions eopt = small_engine(2);
-  eopt.batch_timeout = std::chrono::microseconds(50);
-  eopt.member_stealing = false;
-  Engine engine(eopt);
-  const ModelHandle dag = engine.load_parallel("dag", nl, 3);
-
-  const std::vector<bool> bits(nl.num_inputs(), false);
-  const auto expect = simulate_scalar(nl, bits);
-  std::vector<std::future<std::vector<bool>>> futs;
-  for (int i = 0; i < 40; ++i) futs.push_back(engine.submit(dag, bits));
-  engine.drain();
-  for (auto& f : futs) EXPECT_EQ(f.get(), expect);
-
-  const ServeReport rep = engine.report();
-  EXPECT_EQ(rep.steals, 0u);
-  EXPECT_EQ(rep.member_runs, 3u * rep.batches);
 }
 
 // Member-granularity accounting under partial expiry: a 4-member batch whose
