@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -50,6 +51,17 @@ inline std::string fps_str(double fps) {
     os << fps;
   }
   return os.str();
+}
+
+/// The p-th percentile (0 < p <= 100) of raw samples: the sample at rank
+/// floor(p% of n), clamped to the last one. 0 when there are no samples.
+inline double percentile(std::vector<double> samples, double p) {
+  if (samples.empty()) return 0.0;
+  std::sort(samples.begin(), samples.end());
+  std::size_t rank =
+      static_cast<std::size_t>(p / 100.0 * static_cast<double>(samples.size()));
+  if (rank >= samples.size()) rank = samples.size() - 1;
+  return samples[rank];
 }
 
 inline void print_rule(std::size_t width) {

@@ -130,21 +130,16 @@ def compare(old_doc, new_doc, tolerance):
             regressions.append(f"{bench}: present in baseline but not re-run")
             continue
         o_p99, n_p99 = measured_p99(old), measured_p99(new)
-        # Engine p99s come from octave-bucketed histograms (1023, 2047,
-        # 4095, ... us), so a single bucket of run-to-run jitter reads as
-        # +100% — more than any sane tolerance. Only flag a p99 that is
-        # both past the tolerance AND more than one bucket above baseline
-        # (n > 2*o + 1); sample-exact p99s (steal/hedge) are still caught
-        # once they double, and the goodput check below stays at the plain
-        # tolerance either way. A structurally unmeasured p99 on either
-        # side (serve_simd, serve_aot) is skipped entirely.
+        # Engine p99s come from log-linear histograms that overstate by at
+        # most 6.25%, finer than any tolerance this gate runs at, so a p99
+        # is held to the plain tolerance like goodput. A structurally
+        # unmeasured p99 on either side (serve_simd, serve_aot) is skipped
+        # entirely.
         if (o_p99 is not None and n_p99 is not None
-                and n_p99 > o_p99 * (1 + tolerance)
-                and n_p99 > 2 * o_p99 + 1):
+                and n_p99 > o_p99 * (1 + tolerance)):
             regressions.append(
                 f"{bench}: p99 {o_p99:.0f} -> {n_p99:.0f} us "
-                f"(+{100 * (n_p99 / o_p99 - 1):.1f}% > {100 * tolerance:.0f}% "
-                f"and > one octave bucket)"
+                f"(+{100 * (n_p99 / o_p99 - 1):.1f}% > {100 * tolerance:.0f}%)"
             )
         o_gp = old.get("goodput_per_sec", 0)
         n_gp = new.get("goodput_per_sec", 0)

@@ -117,8 +117,8 @@ ModeResult run_mode(bool aot, const std::string& artifact_dir,
 void print_mode(const char* name, const ModeResult& r) {
   const auto& by = r.report.member_runs_by_backend;
   std::cout << name << ":\n"
-            << "  member service p50 " << r.report.member_p50_exact_us
-            << " us, p99 " << r.report.member_p99_exact_us << " us ("
+            << "  member service p50 " << r.report.member_p50_us
+            << " us, p99 " << r.report.member_p99_us << " us ("
             << r.report.member_runs << " runs: "
             << by[0] << " scalar / " << by[1] << " sliced / " << by[2]
             << " aot)\n"
@@ -326,9 +326,9 @@ int main(int argc, char** argv) {
       const auto min_in = [](std::uint64_t acc, std::uint64_t v) {
         return acc == 0 || (v > 0 && v < acc) ? v : acc;
       };
-      sliced_p99 = min_in(sliced_p99, sliced.report.member_p99_exact_us);
-      aot_p99 = min_in(aot_p99, aot.report.member_p99_exact_us);
-      aot_p50 = static_cast<double>(aot.report.member_p50_exact_us);
+      sliced_p99 = min_in(sliced_p99, sliced.report.member_p99_us);
+      aot_p99 = min_in(aot_p99, aot.report.member_p99_us);
+      aot_p50 = static_cast<double>(aot.report.member_p50_us);
       aot_rps = aot.report.requests_per_sec;
     }
     const double ratio = aot_p99 > 0 ? static_cast<double>(sliced_p99) /

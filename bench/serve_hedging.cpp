@@ -58,15 +58,6 @@ struct ModeResult {
   ServeReport report;
 };
 
-double percentile(std::vector<double> samples, double p) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  std::size_t rank =
-      static_cast<std::size_t>(p / 100.0 * static_cast<double>(samples.size()));
-  if (rank >= samples.size()) rank = samples.size() - 1;
-  return samples[rank];
-}
-
 /// Oracle: the single-LPU compile of the same netlist run directly on a
 /// width-1 word — the member-partitioned, stolen, hedged assembly must
 /// reproduce it bit for bit.
@@ -137,8 +128,8 @@ ModeResult run_mode(bool hedging, const Netlist& nl, LpuSimulator& oracle,
         std::chrono::duration<double, std::micro>(SteadyClock::now() - t0)
             .count());
   }
-  r.p50_us = percentile(round_us, 50.0);
-  r.p99_us = percentile(round_us, 99.0);
+  r.p50_us = bench::percentile(round_us, 50.0);
+  r.p99_us = bench::percentile(round_us, 99.0);
   r.report = engine.report();
   engine.set_member_hook(nullptr);
   engine.shutdown();

@@ -58,15 +58,6 @@ struct ModeResult {
   ServeReport report;
 };
 
-double percentile(std::vector<double> sorted_or_not, double p) {
-  if (sorted_or_not.empty()) return 0.0;
-  std::sort(sorted_or_not.begin(), sorted_or_not.end());
-  std::size_t rank = static_cast<std::size_t>(
-      p / 100.0 * static_cast<double>(sorted_or_not.size()));
-  if (rank >= sorted_or_not.size()) rank = sorted_or_not.size() - 1;
-  return sorted_or_not[rank];
-}
-
 ModeResult run_mode(std::uint32_t workers, const Netlist& nl, int rounds,
                     std::chrono::microseconds base,
                     std::chrono::microseconds slow) {
@@ -113,8 +104,8 @@ ModeResult run_mode(std::uint32_t workers, const Netlist& nl, int rounds,
         std::chrono::duration<double, std::micro>(SteadyClock::now() - t0)
             .count());
   }
-  r.p50_us = percentile(r.round_us, 50.0);
-  r.p99_us = percentile(r.round_us, 99.0);
+  r.p50_us = bench::percentile(r.round_us, 50.0);
+  r.p99_us = bench::percentile(r.round_us, 99.0);
   r.report = engine.report();
   engine.set_member_hook(nullptr);
   engine.shutdown();

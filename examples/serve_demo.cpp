@@ -322,7 +322,7 @@ int main(int argc, char** argv) {
   std::cout << "goodput " << static_cast<long long>(rep.goodput_per_sec)
             << " on-deadline req/s (" << rep.deadline_met << " met, "
             << rep.shed << " shed at admission, " << rep.expired
-            << " expired in queue)\n";
+            << " expired in queue, " << rep.failed << " failed)\n";
   std::cout << "member work items " << rep.member_runs << " (" << rep.steals
             << " stolen by idle workers), straggler gap p99 <= "
             << rep.straggler_gap_p99_us << " us\n";

@@ -19,12 +19,11 @@
 namespace lbnn::router {
 
 /// Fleet-level serving view: every shard's ServeReport plus their aggregate.
-/// Counters in `total` are sums across shards; latency percentiles are the
-/// MAX across shards (conservative — the fleet p99 is at least the worst
-/// shard's p99, and log2-bucketed per-shard percentiles cannot be re-merged
-/// exactly); rates (requests_per_sec, goodput_per_sec) are sums and
-/// wall_seconds is the max. total.per_model merges same-named rows across
-/// shards with the same rules, so a replicated model reads as one row.
+/// `total` is make_report() over the shards' records merged by row name: its
+/// counters are the sums across shards, its percentiles are those of the
+/// merged histogram buckets (the fleet p99, not the worst shard's), and its
+/// rates divide by the longest shard window. A replicated model reads as one
+/// row in total.per_model.
 struct FleetReport {
   runtime::ServeReport total;
   std::vector<runtime::ServeReport> per_shard;  ///< index = shard id
@@ -121,7 +120,7 @@ class RoutedHandle {
 /// whose demand fits one fewer replica (retire_headroom) loses its
 /// least-loaded replica, drained without dropping anything.
 ///
-/// Observability: report() aggregates per-shard ServeReports into a
+/// Observability: report() merges the shards' stats records into a
 /// FleetReport; metrics_prometheus() tags every series with shard="<id>";
 /// export_trace() renders all shards into one Chrome trace, one process per
 /// shard.

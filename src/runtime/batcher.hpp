@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/bitvec.hpp"
+#include "lpu/backend.hpp"
 #include "runtime/clock.hpp"
 
 namespace lbnn::runtime {
@@ -61,6 +62,7 @@ struct MemberSlot {
   std::uint8_t backend = 0;
   std::uint64_t service_us = 0;  ///< winner's simulator (+ member hook) service time
   std::int64_t done_at_us = 0;   ///< completion stamp; straggler gap = max - min
+  SimCounters sim;               ///< the winning run's simulator counters
 
   /// Result-claim state machine; see MemberClaim. The winning transition to
   /// kDone is the exactly-once point: whoever makes it owns every plain
@@ -84,6 +86,7 @@ struct MemberSlot {
     backend = other.backend;
     service_us = other.service_us;
     done_at_us = other.done_at_us;
+    sim = other.sim;
     claim.store(other.claim.load(std::memory_order_relaxed),
                 std::memory_order_relaxed);
     started_at_us.store(other.started_at_us.load(std::memory_order_relaxed),

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <mutex>
 #include <vector>
 
@@ -15,8 +16,15 @@ using Duration = std::chrono::steady_clock::duration;
 /// Sentinel for "no deadline" on a request.
 constexpr TimePoint kNoDeadline = TimePoint::max();
 
+/// Microseconds since the clock's epoch: the runtime's integer time stamps.
+inline std::int64_t to_us(TimePoint tp) {
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+             tp.time_since_epoch())
+      .count();
+}
+
 /// Time source seam for the serving runtime. Everything that stamps, compares
-/// or sleeps on time (Batcher deadlines, Engine admission estimates, ServeStats
+/// or sleeps on time (Batcher deadlines, Engine admission estimates, report
 /// latency/goodput, the timekeeper thread) goes through one of these, so tests
 /// can drive a ManualClock instead of sleeping on the wall clock.
 ///

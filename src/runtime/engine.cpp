@@ -48,12 +48,6 @@ std::string make_private_artifact_dir() {
   return dir.string();
 }
 
-std::int64_t to_us(TimePoint tp) {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             tp.time_since_epoch())
-      .count();
-}
-
 constexpr std::uint8_t claim_value(MemberClaim c) {
   return static_cast<std::uint8_t>(c);
 }
@@ -286,9 +280,10 @@ struct Engine::Impl {
   std::uint64_t next_model_id = 1;
   /// Unloaded models' full stats history, folded in by unload() so the
   /// "(retired)" report row (and metrics spanning a version flip) keep what
-  /// the registry erase would otherwise lose. retired_models counts the
-  /// folds; both guarded by models_mu (ModelStats has its own lock, but the
-  /// pair must read consistently in report()).
+  /// the registry erase would otherwise lose; the folded records forward
+  /// their late events here. retired_models counts the folds. The fold and
+  /// the registry erase are one step under models_mu, and a snapshot reads
+  /// both under it, so it counts each history exactly once.
   ModelStats retired_stats;
   std::uint64_t retired_models = 0;
 
@@ -366,7 +361,7 @@ Engine::Engine(const EngineOptions& options)
       clock_(options.clock != nullptr ? options.clock
                                       : &SystemClock::instance()),
       cache_(options.cache_capacity),
-      stats_(clock_),
+      stats_since_us_(to_us(clock_->now())),
       impl_(new Impl) {
   std::uint32_t workers = options_.num_workers;
   if (workers == 0) {
@@ -700,8 +695,7 @@ SubmitStatus Engine::admit(const ModelHandle& model, std::vector<bool>&& inputs,
   lk.unlock();
   if (status != SubmitStatus::kAccepted) {
     if (status == SubmitStatus::kDeadlineUnmeetable) {
-      stats_.on_shed();
-      m->stats.on_shed();
+      m->stats.record([](StatsRecord& s) { ++s.shed; });
       emit_trace(Tracer::kSharedTrack, TraceEventType::kShed, m->id, req_id);
     }
     release_requests(1);
@@ -772,9 +766,11 @@ bool Engine::unload(const ModelHandle& model) {
   {
     std::lock_guard<std::mutex> lk(impl_->models_mu);
     // Fold the model's full stats history into the persistent retired
-    // aggregate BEFORE the registry erase: report() reads the pair under the
-    // same lock, so no snapshot can see the row gone but the fold missing.
-    impl_->retired_stats.merge_from(m->stats);
+    // aggregate BEFORE the registry erase: stats_snapshot() reads the pair
+    // under the same lock, so no snapshot sees the row gone but the fold
+    // missing. Events that land later (a hedge loser returning, a shed
+    // counted after admission let go of m->mu) forward to the retired row.
+    m->stats.retire_into(impl_->retired_stats);
     ++impl_->retired_models;
     impl_->registry.erase(m->id);
     // Release the cache's pin on this model's program — unless another loaded
@@ -883,7 +879,7 @@ void Engine::enqueue_batch(ModelState& model, Batch&& batch) {
     }
     const std::size_t depth =
         model.queued_items.fetch_add(items, std::memory_order_relaxed) + items;
-    model.stats.on_queue_depth(depth);
+    model.stats.record([depth](StatsRecord& s) { s.note_queue_depth(depth); });
     emit_trace(Tracer::kSharedTrack, TraceEventType::kEnqueue, model.id,
                impl_->next_seq - 1, 0, depth);
   }
@@ -1169,8 +1165,7 @@ void Engine::run_member(BatchWork& work, std::size_t member_index, bool stolen,
   } else {
     // The hedge ledger records the launch before the hook runs, so a test
     // gating the duplicate still observes hedges_launched == 1.
-    stats_.on_hedge_launched();
-    work.model->stats.on_hedge_launched();
+    work.model->stats.record([](StatsRecord& s) { ++s.hedges_launched; });
     emit_trace(ctx.track, TraceEventType::kHedgeLaunch, work.model->id, work.seq,
                static_cast<std::uint32_t>(member_index), 0, kTraceFlagHedge);
   }
@@ -1231,8 +1226,8 @@ void Engine::run_member(BatchWork& work, std::size_t member_index, bool stolen,
         resolved = true;
         // Tell the other copy (if one is running) its result is moot.
         slot.cancel.store(true);
-        stats_.on_sim_run(exec->counters());
         slot.ran = true;
+        slot.sim = exec->counters();
         slot.stolen = stolen;
         slot.hedge_won = hedge;
         slot.backend = static_cast<std::uint8_t>(exec->backend_kind());
@@ -1292,8 +1287,8 @@ void Engine::run_member(BatchWork& work, std::size_t member_index, bool stolen,
     // Hedge loser — duplicate or original: the winner already wrote the
     // slot and will drive (or drove) finalize. Account the discarded work
     // and walk away; double-resolving the promises is impossible from here.
-    stats_.on_hedge_waste(wasted_us);
-    work.model->stats.on_hedge_waste(wasted_us);
+    work.model->stats.record(
+        [wasted_us](StatsRecord& s) { s.hedge_wasted_us += wasted_us; });
     emit_trace(ctx.track, TraceEventType::kHedgeCancel, work.model->id, work.seq,
                static_cast<std::uint32_t>(member_index), wasted_us,
                hedge ? kTraceFlagHedge : std::uint8_t{0});
@@ -1346,8 +1341,7 @@ bool Engine::drop_expired_requests(BatchWork& work, std::size_t track) {
   // Counters BEFORE the promises fail (the same rule finalize() follows): a
   // client that wakes from get() with DeadlineExceeded and immediately calls
   // report() must see its request in `expired`.
-  stats_.on_expired(expired);
-  work.model->stats.on_expired(expired);
+  work.model->stats.record([expired](StatsRecord& s) { s.expired += expired; });
   emit_trace(track, TraceEventType::kExpire, work.model->id, work.seq, 0,
              expired);
   for (auto& req : work.requests) {
@@ -1363,24 +1357,25 @@ bool Engine::drop_expired_requests(BatchWork& work, std::size_t track) {
 void Engine::finalize(BatchWork& work, std::size_t track) {
   ModelState& m = *work.model;
   const TimePoint now = clock_->now();
+  const bool failed = work.failed.load();
+  // The whole batch lands in the model's record under one lock, BEFORE any
+  // future resolves: a client that wakes from .get() and immediately calls
+  // report() must see its request counted. Member slots are complete here —
+  // every runner's writes are ordered before this point by the members_left
+  // decrement chain.
+  m.stats.record([&](StatsRecord& s) {
+    s.add_batch(work.requests, work.slots, m.batcher->lane_capacity(), failed,
+                work.sealed_at_us, work.dispatched_at_us, now);
+  });
   // Requests the dequeue-time expiry pass already failed are settled; only
-  // the live remainder gets values/errors and latency accounting here.
+  // the live remainder gets values or errors here.
   std::size_t live = 0;
   for (const auto& req : work.requests) {
     if (!req.expired) ++live;
   }
-  // Stats are recorded BEFORE any future resolves: a client that wakes from
-  // .get() and immediately calls report() must see its request counted.
-  // Member slots are complete here — every runner's writes are ordered
-  // before this point by the members_left decrement chain.
-  stats_.on_members_done(work.slots);
-  m.stats.on_members_done(work.slots);
   emit_trace(track, TraceEventType::kFinalize, m.id, work.seq, 0, live,
-             work.failed.load() ? kTraceFlagFailed : std::uint8_t{0});
-  if (work.failed.load()) {
-    // The batch ran (and wasted its lanes) but produced no samples.
-    stats_.on_batch(0, m.batcher->lane_capacity());
-    m.stats.on_batch(0, m.batcher->lane_capacity());
+             failed ? kTraceFlagFailed : std::uint8_t{0});
+  if (failed) {
     for (auto& req : work.requests) {
       if (req.expired) continue;
       emit_trace(track, TraceEventType::kRequestDone, m.id, req.id, 0, 0,
@@ -1389,62 +1384,17 @@ void Engine::finalize(BatchWork& work, std::size_t track) {
           std::make_exception_ptr(Error("batch failed: " + work.error)));
     }
   } else if (live > 0) {
-    std::vector<std::uint64_t> latencies;
-    latencies.reserve(live);
-    std::uint64_t met = 0;
-    for (const auto& req : work.requests) {
-      if (req.expired) continue;
-      const auto latency =
-          std::chrono::duration_cast<std::chrono::microseconds>(now - req.enqueued);
-      latencies.push_back(static_cast<std::uint64_t>(latency.count()));
-      // A deadline-less completion is always good work; a deadlined one only
-      // counts toward goodput when it finished in time.
-      if (req.deadline == kNoDeadline || now <= req.deadline) ++met;
-    }
-    stats_.on_requests_done(latencies, met);
-    m.stats.on_requests_done(latencies, met);
-    stats_.on_batch(live, m.batcher->lane_capacity());
-    m.stats.on_batch(live, m.batcher->lane_capacity());
-    // Phase decomposition from the batch's lifecycle stamps — the same
-    // transitions the trace stream records. Execution ends at the LAST
-    // member's completion stamp; everything is clamped at 0 (a ManualClock
-    // that never advanced yields all-zero phases, not underflow).
-    {
-      std::int64_t exec_done_us = work.dispatched_at_us;
-      for (const MemberSlot& slot : work.slots) {
-        if (slot.ran && slot.done_at_us > exec_done_us) {
-          exec_done_us = slot.done_at_us;
-        }
-      }
-      const auto clamp_us = [](std::int64_t v) -> std::uint64_t {
-        return v > 0 ? static_cast<std::uint64_t>(v) : 0;
-      };
-      std::vector<std::uint64_t> assembly;
-      assembly.reserve(live);
-      for (const auto& req : work.requests) {
-        if (req.expired) continue;
-        assembly.push_back(clamp_us(work.sealed_at_us - to_us(req.enqueued)));
-      }
-      const std::uint64_t queue_wait =
-          clamp_us(work.dispatched_at_us - work.sealed_at_us);
-      const std::uint64_t execution =
-          clamp_us(exec_done_us - work.dispatched_at_us);
-      const std::uint64_t settle = clamp_us(to_us(now) - exec_done_us);
-      stats_.on_phases(assembly, queue_wait, execution, settle);
-      m.stats.on_phases(assembly, queue_wait, execution, settle);
-    }
     auto per_request = unpack_outputs(work.outputs, work.requests.size());
     for (std::size_t i = 0; i < work.requests.size(); ++i) {
       if (work.requests[i].expired) continue;
-      const auto latency = std::chrono::duration_cast<std::chrono::microseconds>(
-          now - work.requests[i].enqueued);
+      const auto latency_us = std::chrono::duration_cast<std::chrono::microseconds>(
+                                  now - work.requests[i].enqueued)
+                                  .count();
       emit_trace(track, TraceEventType::kRequestDone, m.id, work.requests[i].id,
-                 0, static_cast<std::uint64_t>(latency.count()));
+                 0, latency_us > 0 ? static_cast<std::uint64_t>(latency_us) : 0);
       work.requests[i].result.set_value(std::move(per_request[i]));
     }
   }
-  // live == 0 && !failed: the whole batch expired at dequeue and the
-  // simulator never ran — no batch/lane accounting, the lanes were reclaimed.
   const std::size_t n = work.requests.size();
   {
     std::lock_guard<std::mutex> lk(m.mu);
@@ -1527,44 +1477,50 @@ void Engine::set_evict_hook(std::function<void(const std::string&)> hook) {
   }
 }
 
-ServeReport Engine::report() const {
-  ServeReport r = stats_.report();
-  for (const auto& m : model_snapshot()) {
-    ModelReport mr = m->stats.report();
-    mr.name = m->name;
-    mr.weight = m->weight.load();
-    mr.queue_bound = m->queue_bound;
-    // Per-model goodput shares the engine-wide wall clock (models load at
-    // different times, but one common denominator keeps rows comparable).
-    mr.goodput_per_sec =
-        r.wall_seconds > 0.0
-            ? static_cast<double>(mr.deadline_met) / r.wall_seconds
-            : 0.0;
-    r.per_model.push_back(std::move(mr));
-  }
-  // Unloaded models fold into one persistent row instead of vanishing: the
-  // aggregate of every unload()ed model's full history, under a name no real
-  // model can shadow.
+ServeReport Engine::report() const { return make_report(stats_snapshot()); }
+
+StatsSnapshot Engine::stats_snapshot() const {
+  std::vector<std::shared_ptr<ModelState>> live;
+  // Unloaded models fold into one persistent row instead of vanishing, under
+  // a name no real model can shadow; it has no scheduler share and no
+  // admission plane.
+  ModelRecord retired;
+  retired.name = "(retired)";
+  retired.weight = 0;
   bool has_retired = false;
-  ModelReport retired;
   {
+    // The registry and the retired record are read in one step, so a model
+    // unloading concurrently is counted exactly once: either its fold is in
+    // this copy, or it is in `live` and its own record is read below.
     std::lock_guard<std::mutex> lk(impl_->models_mu);
-    if (impl_->retired_models > 0) {
-      has_retired = true;
-      retired = impl_->retired_stats.report();
-    }
+    live.reserve(impl_->registry.size());
+    for (const auto& [id, m] : impl_->registry) live.push_back(m);
+    has_retired = impl_->retired_models > 0;
+    if (has_retired) retired.stats = impl_->retired_stats.snapshot();
   }
-  if (has_retired) {
-    retired.name = "(retired)";
-    retired.weight = 0;       // no scheduler share — these models are gone
-    retired.queue_bound = 0;  // no admission plane either
-    retired.goodput_per_sec =
-        r.wall_seconds > 0.0
-            ? static_cast<double>(retired.deadline_met) / r.wall_seconds
-            : 0.0;
-    r.per_model.push_back(std::move(retired));
+  StatsSnapshot snap;
+  snap.rows.reserve(live.size() + 1);
+  for (const auto& m : live) {
+    ModelRecord row;
+    row.name = m->name;
+    row.weight = m->weight.load();
+    row.queue_bound = m->queue_bound;
+    row.stats = m->stats.snapshot();
+    snap.rows.push_back(std::move(row));
   }
-  return r;
+  if (has_retired) snap.rows.push_back(std::move(retired));
+  // Every row shares the engine-wide window: models load at different
+  // times, but one common denominator keeps the rows' rates comparable.
+  snap.wall_seconds =
+      static_cast<double>(to_us(clock_->now()) - stats_since_us_.load()) / 1e6;
+  return snap;
+}
+
+void Engine::reset_stats() {
+  std::lock_guard<std::mutex> lk(impl_->models_mu);
+  for (const auto& [id, m] : impl_->registry) m->stats.reset();
+  impl_->retired_stats.reset();
+  stats_since_us_.store(to_us(clock_->now()));
 }
 
 void Engine::export_trace(std::ostream& os) {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <future>
@@ -287,15 +288,21 @@ class Engine {
   /// calls it.
   void shutdown();
 
+  /// make_report(stats_snapshot()): the per-model rows and their
+  /// bucket-merged total.
   ServeReport report() const;
+  /// Every report row's raw record — the loaded models in load order, then
+  /// the "(retired)" aggregate once a model was unloaded — and the wall time
+  /// since construction or the last reset_stats(). The Router merges its
+  /// shards' snapshots into the fleet report through this.
+  StatsSnapshot stats_snapshot() const;
 
-  /// Reset the aggregate serving statistics (counters, histograms, exact
-  /// member samples, and the wall-clock origin of requests_per_sec).
-  /// Per-model statistics keep counting. Benches call this after warmup so
-  /// steady-state percentiles are not polluted by one-time construction
-  /// spikes (each worker builds its simulators lazily, inside the timed
-  /// member region, on its first run of a program).
-  void reset_stats() { stats_.reset(); }
+  /// Reset every row's statistics (the retired one too) and the wall-clock
+  /// origin of the rates. Benches call this after warmup so steady-state
+  /// percentiles are not polluted by one-time construction spikes (each
+  /// worker builds its simulators lazily, inside the timed member region, on
+  /// its first run of a program).
+  void reset_stats();
 
   /// Render the drained trace stream as Chrome trace-event JSON — loadable
   /// in chrome://tracing or Perfetto. One track per worker plus a "clients"
@@ -476,7 +483,9 @@ class Engine {
   bool own_artifact_dir_ = false;
   ClockSource* clock_;  ///< options_.clock or the shared SystemClock
   ProgramCache cache_;
-  ServeStats stats_;
+  /// Origin (us on clock_) of the report's wall_seconds; reset_stats() moves
+  /// it.
+  std::atomic<std::int64_t> stats_since_us_;
   /// Non-null iff tracing is on (EngineOptions::tracing or
   /// LBNN_FORCE_TRACING); created before the workers spawn, destroyed after
   /// they join, so emission sites need no lifetime checks beyond null.

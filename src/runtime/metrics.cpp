@@ -52,6 +52,45 @@ void json_phase(std::ostream& os, const char* name, const PhaseStats& p,
   if (trailing_comma) os << ",";
 }
 
+/// The fields a per-model row and the total share, in one order.
+void json_summary(std::ostream& os, const StatsSummary& r) {
+  os << "\"requests\":" << r.requests;
+  os << ",\"batches\":" << r.batches;
+  os << ",\"samples\":" << r.samples;
+  os << ",\"lanes_offered\":" << r.lanes_offered;
+  os << ",\"lane_occupancy\":" << r.lane_occupancy;
+  os << ",\"p50_latency_us\":" << r.p50_latency_us;
+  os << ",\"p99_latency_us\":" << r.p99_latency_us;
+  os << ",\"queue_depth_hwm\":" << r.queue_depth_hwm;
+  os << ",\"shed\":" << r.shed;
+  os << ",\"expired\":" << r.expired;
+  os << ",\"failed\":" << r.failed;
+  os << ",\"deadline_met\":" << r.deadline_met;
+  os << ",\"goodput_per_sec\":" << r.goodput_per_sec;
+  os << ",\"member_runs\":" << r.member_runs;
+  os << ",\"member_runs_by_backend\":{";
+  for (std::size_t b = 0; b < r.member_runs_by_backend.size(); ++b) {
+    if (b > 0) os << ",";
+    os << "\"" << to_string(static_cast<BackendKind>(b))
+       << "\":" << r.member_runs_by_backend[b];
+  }
+  os << "}";
+  os << ",\"steals\":" << r.steals;
+  os << ",\"hedges_launched\":" << r.hedges_launched;
+  os << ",\"hedge_wins\":" << r.hedge_wins;
+  os << ",\"hedge_wasted_us\":" << r.hedge_wasted_us;
+  os << ",\"member_p50_us\":" << r.member_p50_us;
+  os << ",\"member_p99_us\":" << r.member_p99_us;
+  os << ",\"straggler_gap_p50_us\":" << r.straggler_gap_p50_us;
+  os << ",\"straggler_gap_p99_us\":" << r.straggler_gap_p99_us;
+  os << ",\"phases\":{";
+  json_phase(os, "assembly_wait", r.phases.assembly_wait, true);
+  json_phase(os, "queue_wait", r.phases.queue_wait, true);
+  json_phase(os, "execution", r.phases.execution, true);
+  json_phase(os, "finalize", r.phases.finalize, false);
+  os << "}";
+}
+
 }  // namespace
 
 std::string to_prometheus(const ServeReport& r) {
@@ -114,6 +153,8 @@ std::string to_prometheus(const std::vector<LabelledReport>& shards) {
           [](R r) { return r.shed; });
   counter("lbnn_expired_total", "Requests dropped at dequeue past deadline",
           [](R r) { return r.expired; });
+  counter("lbnn_failed_total", "Accepted requests whose batch failed",
+          [](R r) { return r.failed; });
   counter("lbnn_deadline_met_total", "Completions that made their deadline",
           [](R r) { return r.deadline_met; });
   counter("lbnn_member_runs_total", "Member work items executed",
@@ -166,6 +207,8 @@ std::string to_prometheus(const std::vector<LabelledReport>& shards) {
     os << "# TYPE lbnn_model_shed_total counter\n";
     os << "# HELP lbnn_model_expired_total Dequeue expiries per model\n";
     os << "# TYPE lbnn_model_expired_total counter\n";
+    os << "# HELP lbnn_model_failed_total Failed-batch requests per model\n";
+    os << "# TYPE lbnn_model_failed_total counter\n";
     os << "# HELP lbnn_model_goodput_per_sec On-deadline completions per second per model\n";
     os << "# TYPE lbnn_model_goodput_per_sec gauge\n";
     for (std::size_t i = 0; i < shards.size(); ++i) {
@@ -180,6 +223,7 @@ std::string to_prometheus(const std::vector<LabelledReport>& shards) {
         label("lbnn_model_latency_us_p99") << m.p99_latency_us << "\n";
         label("lbnn_model_shed_total") << m.shed << "\n";
         label("lbnn_model_expired_total") << m.expired << "\n";
+        label("lbnn_model_failed_total") << m.failed << "\n";
         label("lbnn_model_goodput_per_sec") << m.goodput_per_sec << "\n";
       }
     }
@@ -190,73 +234,19 @@ std::string to_prometheus(const std::vector<LabelledReport>& shards) {
 std::string to_json(const ServeReport& r) {
   std::ostringstream os;
   os << "{";
-  os << "\"requests\":" << r.requests << ",";
-  os << "\"batches\":" << r.batches << ",";
-  os << "\"samples\":" << r.samples << ",";
-  os << "\"lanes_offered\":" << r.lanes_offered << ",";
-  os << "\"lane_occupancy\":" << r.lane_occupancy << ",";
-  os << "\"p50_latency_us\":" << r.p50_latency_us << ",";
-  os << "\"p99_latency_us\":" << r.p99_latency_us << ",";
-  os << "\"wall_seconds\":" << r.wall_seconds << ",";
-  os << "\"requests_per_sec\":" << r.requests_per_sec << ",";
-  os << "\"shed\":" << r.shed << ",";
-  os << "\"expired\":" << r.expired << ",";
-  os << "\"deadline_met\":" << r.deadline_met << ",";
-  os << "\"goodput_per_sec\":" << r.goodput_per_sec << ",";
-  os << "\"member_runs\":" << r.member_runs << ",";
-  os << "\"member_runs_by_backend\":{";
-  for (std::size_t b = 0; b < r.member_runs_by_backend.size(); ++b) {
-    if (b > 0) os << ",";
-    os << "\"" << to_string(static_cast<BackendKind>(b))
-       << "\":" << r.member_runs_by_backend[b];
-  }
-  os << "},";
-  os << "\"steals\":" << r.steals << ",";
-  os << "\"hedges_launched\":" << r.hedges_launched << ",";
-  os << "\"hedge_wins\":" << r.hedge_wins << ",";
-  os << "\"hedge_wasted_us\":" << r.hedge_wasted_us << ",";
-  os << "\"member_p50_us\":" << r.member_p50_us << ",";
-  os << "\"member_p99_us\":" << r.member_p99_us << ",";
-  os << "\"member_p50_exact_us\":" << r.member_p50_exact_us << ",";
-  os << "\"member_p99_exact_us\":" << r.member_p99_exact_us << ",";
-  os << "\"straggler_gap_p50_us\":" << r.straggler_gap_p50_us << ",";
-  os << "\"straggler_gap_p99_us\":" << r.straggler_gap_p99_us << ",";
-  os << "\"phases\":{";
-  json_phase(os, "assembly_wait", r.phases.assembly_wait, true);
-  json_phase(os, "queue_wait", r.phases.queue_wait, true);
-  json_phase(os, "execution", r.phases.execution, true);
-  json_phase(os, "finalize", r.phases.finalize, false);
-  os << "},";
-  os << "\"per_model\":[";
+  json_summary(os, r);
+  os << ",\"wall_seconds\":" << r.wall_seconds;
+  os << ",\"requests_per_sec\":" << r.requests_per_sec;
+  os << ",\"per_model\":[";
   for (std::size_t i = 0; i < r.per_model.size(); ++i) {
     const ModelReport& m = r.per_model[i];
     if (i > 0) os << ",";
     os << "{\"name\":\"";
     escape_json(os, m.name);
     os << "\",\"weight\":" << m.weight;
-    os << ",\"queue_bound\":" << m.queue_bound;
-    os << ",\"requests\":" << m.requests;
-    os << ",\"batches\":" << m.batches;
-    os << ",\"samples\":" << m.samples;
-    os << ",\"lane_occupancy\":" << m.lane_occupancy;
-    os << ",\"p50_latency_us\":" << m.p50_latency_us;
-    os << ",\"p99_latency_us\":" << m.p99_latency_us;
-    os << ",\"queue_depth_hwm\":" << m.queue_depth_hwm;
-    os << ",\"shed\":" << m.shed;
-    os << ",\"expired\":" << m.expired;
-    os << ",\"deadline_met\":" << m.deadline_met;
-    os << ",\"goodput_per_sec\":" << m.goodput_per_sec;
-    os << ",\"member_runs\":" << m.member_runs;
-    os << ",\"steals\":" << m.steals;
-    os << ",\"hedges_launched\":" << m.hedges_launched;
-    os << ",\"hedge_wins\":" << m.hedge_wins;
-    os << ",\"hedge_wasted_us\":" << m.hedge_wasted_us;
-    os << ",\"phases\":{";
-    json_phase(os, "assembly_wait", m.phases.assembly_wait, true);
-    json_phase(os, "queue_wait", m.phases.queue_wait, true);
-    json_phase(os, "execution", m.phases.execution, true);
-    json_phase(os, "finalize", m.phases.finalize, false);
-    os << "}}";
+    os << ",\"queue_bound\":" << m.queue_bound << ",";
+    json_summary(os, m);
+    os << "}";
   }
   os << "]}";
   return os.str();

@@ -1,140 +1,48 @@
 #include "runtime/serve_stats.hpp"
 
 #include <algorithm>
+#include <chrono>
 
 #include "common/bits.hpp"
 
 namespace lbnn::runtime {
 
-void LatencyHistogram::record(std::uint64_t micros) {
-  std::size_t bucket = 0;
-  if (micros > 0) {
-    bucket = static_cast<std::size_t>(64 - countl_zero64(micros));
-    if (bucket >= buckets_.size()) bucket = buckets_.size() - 1;
-  }
-  ++buckets_[bucket];
-  ++count_;
-}
-
-void LatencyHistogram::merge(const LatencyHistogram& other) {
-  for (std::size_t i = 0; i < buckets_.size(); ++i) buckets_[i] += other.buckets_[i];
-  count_ += other.count_;
-}
-
-std::uint64_t LatencyHistogram::percentile_us(double p) const {
-  if (count_ == 0) return 0;
-  // Rank of the p-th percentile sample, 1-based, clamped to [1, count].
-  auto rank = static_cast<std::uint64_t>(p / 100.0 * static_cast<double>(count_) + 0.5);
-  if (rank < 1) rank = 1;
-  if (rank > count_) rank = count_;
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    seen += buckets_[i];
-    if (seen >= rank) {
-      return i == 0 ? 0 : (i >= 63 ? ~0ull : (1ull << i) - 1);
-    }
-  }
-  return ~0ull;
-}
-
-void ModelStats::on_requests_done(const std::vector<std::uint64_t>& latencies_us,
-                                  std::uint64_t deadline_met) {
-  std::lock_guard<std::mutex> lk(mu_);
-  for (const std::uint64_t us : latencies_us) hist_.record(us);
-  requests_ += latencies_us.size();
-  deadline_met_ += deadline_met;
-}
-
-void ModelStats::on_batch(std::size_t samples, std::size_t lane_capacity) {
-  std::lock_guard<std::mutex> lk(mu_);
-  ++batches_;
-  samples_ += samples;
-  lanes_offered_ += lane_capacity;
-}
-
-void ModelStats::on_queue_depth(std::size_t depth) {
-  std::lock_guard<std::mutex> lk(mu_);
-  if (depth > queue_depth_hwm_) queue_depth_hwm_ = depth;
-}
-
-void ModelStats::on_shed() {
-  std::lock_guard<std::mutex> lk(mu_);
-  ++shed_;
-}
-
-void ModelStats::on_expired(std::size_t n) {
-  std::lock_guard<std::mutex> lk(mu_);
-  expired_ += n;
-}
-
-void ModelStats::on_members_done(const std::vector<MemberSlot>& slots) {
-  std::uint64_t ran = 0;
-  std::uint64_t stolen = 0;
-  std::uint64_t hedge_won = 0;
-  std::array<std::uint64_t, kNumBackendKinds> by_backend{};
-  for (const MemberSlot& slot : slots) {
-    if (!slot.ran) continue;
-    ++ran;
-    if (slot.stolen) ++stolen;
-    if (slot.hedge_won) ++hedge_won;
-    ++by_backend[slot.backend];
-  }
-  if (ran == 0) return;
-  std::lock_guard<std::mutex> lk(mu_);
-  member_runs_ += ran;
-  steals_ += stolen;
-  hedge_wins_ += hedge_won;
-  for (std::size_t b = 0; b < by_backend.size(); ++b) {
-    member_runs_by_backend_[b] += by_backend[b];
-  }
-}
-
-void ModelStats::on_hedge_launched() {
-  std::lock_guard<std::mutex> lk(mu_);
-  ++hedges_launched_;
-}
-
-void ModelStats::on_hedge_waste(std::uint64_t wasted_us) {
-  std::lock_guard<std::mutex> lk(mu_);
-  hedge_wasted_us_ += wasted_us;
-}
-
-void ModelStats::on_phases(const std::vector<std::uint64_t>& assembly_us,
-                           std::uint64_t queue_wait_us, std::uint64_t execution_us,
-                           std::uint64_t finalize_us) {
-  std::lock_guard<std::mutex> lk(mu_);
-  for (const std::uint64_t us : assembly_us) assembly_hist_.record(us);
-  queue_wait_hist_.record(queue_wait_us);
-  execution_hist_.record(execution_us);
-  finalize_hist_.record(finalize_us);
-}
-
-void ModelStats::merge_from(const ModelStats& other) {
-  std::scoped_lock lk(mu_, other.mu_);
-  hist_.merge(other.hist_);
-  assembly_hist_.merge(other.assembly_hist_);
-  queue_wait_hist_.merge(other.queue_wait_hist_);
-  execution_hist_.merge(other.execution_hist_);
-  finalize_hist_.merge(other.finalize_hist_);
-  requests_ += other.requests_;
-  batches_ += other.batches_;
-  samples_ += other.samples_;
-  lanes_offered_ += other.lanes_offered_;
-  if (other.queue_depth_hwm_ > queue_depth_hwm_) queue_depth_hwm_ = other.queue_depth_hwm_;
-  shed_ += other.shed_;
-  expired_ += other.expired_;
-  deadline_met_ += other.deadline_met_;
-  member_runs_ += other.member_runs_;
-  for (std::size_t b = 0; b < member_runs_by_backend_.size(); ++b) {
-    member_runs_by_backend_[b] += other.member_runs_by_backend_[b];
-  }
-  steals_ += other.steals_;
-  hedges_launched_ += other.hedges_launched_;
-  hedge_wins_ += other.hedge_wins_;
-  hedge_wasted_us_ += other.hedge_wasted_us_;
-}
-
 namespace {
+
+/// 2^4 = 16 sub-buckets per octave: the 6.25% resolution.
+constexpr unsigned kSubBits = 4;
+constexpr std::uint64_t kSubBuckets = 1ull << kSubBits;
+
+/// Values below 16 index themselves; above, the octave's shift selects a
+/// 16-bucket block and the value's top 5 bits (16..31) the sub-bucket.
+std::size_t bucket_of(std::uint64_t v) {
+  if (v < kSubBuckets) return static_cast<std::size_t>(v);
+  const unsigned shift = static_cast<unsigned>(63 - countl_zero64(v)) - kSubBits;
+  return (static_cast<std::size_t>(shift) << kSubBits) +
+         static_cast<std::size_t>(v >> shift);
+}
+
+/// Largest value bucket i holds (bucket 975's bound wraps to 2^64 - 1).
+std::uint64_t bucket_upper(std::size_t i) {
+  if (i < kSubBuckets) return i;
+  const unsigned shift = static_cast<unsigned>(i >> kSubBits) - 1;
+  const std::uint64_t sub = i - (static_cast<std::uint64_t>(shift) << kSubBits);
+  return ((sub + 1) << shift) - 1;
+}
+
+/// `weight` scales lpe_utilization: a run's wavefront count when adding one
+/// run, 1 when adding an already-weighted sum.
+void add_sim(SimCounters& into, const SimCounters& c, double weight) {
+  into.wavefronts += c.wavefronts;
+  into.macro_cycles += c.macro_cycles;
+  into.clock_cycles += c.clock_cycles;
+  into.lpe_computes += c.lpe_computes;
+  into.route_writes += c.route_writes;
+  into.input_reads += c.input_reads;
+  into.feedback_words += c.feedback_words;
+  into.lpe_utilization += c.lpe_utilization * weight;
+}
+
 PhaseStats phase_stats(const LatencyHistogram& h) {
   PhaseStats p;
   p.p50_us = h.percentile_us(50.0);
@@ -142,88 +50,84 @@ PhaseStats phase_stats(const LatencyHistogram& h) {
   p.count = h.count();
   return p;
 }
+
+double per_sec(std::uint64_t n, double wall_seconds) {
+  return wall_seconds > 0.0 ? static_cast<double>(n) / wall_seconds : 0.0;
+}
+
+void summarize(const StatsRecord& s, double wall_seconds, StatsSummary* out) {
+  out->requests = s.requests;
+  out->batches = s.batches;
+  out->samples = s.samples;
+  out->lanes_offered = s.lanes_offered;
+  out->lane_occupancy =
+      s.lanes_offered == 0
+          ? 0.0
+          : static_cast<double>(s.samples) / static_cast<double>(s.lanes_offered);
+  out->p50_latency_us = s.latency.percentile_us(50.0);
+  out->p99_latency_us = s.latency.percentile_us(99.0);
+  out->queue_depth_hwm = s.queue_depth_hwm;
+  out->shed = s.shed;
+  out->expired = s.expired;
+  out->failed = s.failed;
+  out->deadline_met = s.deadline_met;
+  out->goodput_per_sec = per_sec(s.deadline_met, wall_seconds);
+  out->member_runs = s.member_runs;
+  out->member_runs_by_backend = s.member_runs_by_backend;
+  out->steals = s.steals;
+  out->hedges_launched = s.hedges_launched;
+  out->hedge_wins = s.hedge_wins;
+  out->hedge_wasted_us = s.hedge_wasted_us;
+  out->member_p50_us = s.member.percentile_us(50.0);
+  out->member_p99_us = s.member.percentile_us(99.0);
+  out->straggler_gap_p50_us = s.straggler_gap.percentile_us(50.0);
+  out->straggler_gap_p99_us = s.straggler_gap.percentile_us(99.0);
+  out->phases.assembly_wait = phase_stats(s.assembly_wait);
+  out->phases.queue_wait = phase_stats(s.queue_wait);
+  out->phases.execution = phase_stats(s.execution);
+  out->phases.finalize = phase_stats(s.finalize);
+  out->sim = s.sim;
+  out->sim.lpe_utilization =
+      s.sim.wavefronts == 0
+          ? 0.0
+          : s.sim.lpe_utilization / static_cast<double>(s.sim.wavefronts);
+}
+
 }  // namespace
 
-ModelReport ModelStats::report() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  ModelReport r;
-  r.requests = requests_;
-  r.batches = batches_;
-  r.samples = samples_;
-  r.lanes_offered = lanes_offered_;
-  r.lane_occupancy = lanes_offered_ == 0
-                         ? 0.0
-                         : static_cast<double>(samples_) / static_cast<double>(lanes_offered_);
-  r.p50_latency_us = hist_.percentile_us(50.0);
-  r.p99_latency_us = hist_.percentile_us(99.0);
-  r.queue_depth_hwm = queue_depth_hwm_;
-  r.shed = shed_;
-  r.expired = expired_;
-  r.deadline_met = deadline_met_;
-  r.member_runs = member_runs_;
-  r.member_runs_by_backend = member_runs_by_backend_;
-  r.steals = steals_;
-  r.hedges_launched = hedges_launched_;
-  r.hedge_wins = hedge_wins_;
-  r.hedge_wasted_us = hedge_wasted_us_;
-  r.phases.assembly_wait = phase_stats(assembly_hist_);
-  r.phases.queue_wait = phase_stats(queue_wait_hist_);
-  r.phases.execution = phase_stats(execution_hist_);
-  r.phases.finalize = phase_stats(finalize_hist_);
-  return r;
+void LatencyHistogram::record(std::uint64_t micros) {
+  const std::size_t i = bucket_of(micros);
+  if (i >= buckets_.size()) buckets_.resize(i + 1);
+  ++buckets_[i];
+  ++count_;
 }
 
-void ServeStats::on_request_done(std::uint64_t latency_us) {
-  std::lock_guard<std::mutex> lk(mu_);
-  hist_.record(latency_us);
-  ++requests_;
-  ++deadline_met_;  // single-request path carries no deadline: always good
+void LatencyHistogram::merge(const LatencyHistogram& other) {
+  const std::vector<std::uint64_t>& from = other.buckets_;
+  if (from.size() > buckets_.size()) buckets_.resize(from.size());
+  for (std::size_t i = 0; i < from.size(); ++i) buckets_[i] += from[i];
+  count_ += other.count_;
 }
 
-void ServeStats::on_requests_done(const std::vector<std::uint64_t>& latencies_us,
-                                  std::uint64_t deadline_met) {
-  std::lock_guard<std::mutex> lk(mu_);
-  for (const std::uint64_t us : latencies_us) hist_.record(us);
-  requests_ += latencies_us.size();
-  deadline_met_ += deadline_met;
+std::uint64_t LatencyHistogram::percentile_us(double p) const {
+  if (count_ == 0) return 0;
+  // Rank of the p-th percentile sample, 1-based, clamped to [1, count].
+  auto rank = static_cast<std::uint64_t>(p / 100.0 * static_cast<double>(count_) + 0.5);
+  rank = std::clamp<std::uint64_t>(rank, 1, count_);
+  std::uint64_t seen = 0;
+  for (std::size_t i = 0; i < buckets_.size(); ++i) {
+    seen += buckets_[i];
+    if (seen >= rank) return bucket_upper(i);
+  }
+  return ~0ull;
 }
 
-void ServeStats::on_batch(std::size_t samples, std::size_t lane_capacity) {
-  std::lock_guard<std::mutex> lk(mu_);
-  ++batches_;
-  samples_ += samples;
-  lanes_offered_ += lane_capacity;
-}
-
-void ServeStats::on_sim_run(const SimCounters& c) {
-  std::lock_guard<std::mutex> lk(mu_);
-  sim_.wavefronts += c.wavefronts;
-  sim_.macro_cycles += c.macro_cycles;
-  sim_.clock_cycles += c.clock_cycles;
-  sim_.lpe_computes += c.lpe_computes;
-  sim_.route_writes += c.route_writes;
-  sim_.input_reads += c.input_reads;
-  sim_.feedback_words += c.feedback_words;
-  util_weight_ += c.lpe_utilization * static_cast<double>(c.wavefronts);
-}
-
-void ServeStats::on_shed() {
-  std::lock_guard<std::mutex> lk(mu_);
-  ++shed_;
-}
-
-void ServeStats::on_expired(std::size_t n) {
-  std::lock_guard<std::mutex> lk(mu_);
-  expired_ += n;
-}
-
-void ServeStats::on_members_done(const std::vector<MemberSlot>& slots) {
-  // Derive everything outside the lock; the slots are immutable here (every
-  // writer's store is ordered before finalize by the completion latch).
+void StatsRecord::add_batch(const std::vector<Request>& batch,
+                            const std::vector<MemberSlot>& slots,
+                            std::size_t lane_capacity, bool batch_failed,
+                            std::int64_t sealed_at_us,
+                            std::int64_t dispatched_at_us, TimePoint now) {
   std::uint64_t ran = 0;
-  std::uint64_t stolen = 0;
-  std::uint64_t hedge_won = 0;
-  std::array<std::uint64_t, kNumBackendKinds> by_backend{};
   std::int64_t first_done = 0;
   std::int64_t last_done = 0;
   for (const MemberSlot& slot : slots) {
@@ -231,119 +135,101 @@ void ServeStats::on_members_done(const std::vector<MemberSlot>& slots) {
     if (ran == 0 || slot.done_at_us < first_done) first_done = slot.done_at_us;
     if (ran == 0 || slot.done_at_us > last_done) last_done = slot.done_at_us;
     ++ran;
-    if (slot.stolen) ++stolen;
-    if (slot.hedge_won) ++hedge_won;
-    ++by_backend[slot.backend];
+    if (slot.stolen) ++steals;
+    if (slot.hedge_won) ++hedge_wins;
+    ++member_runs_by_backend[slot.backend];
+    member.record(slot.service_us);
+    add_sim(sim, slot.sim, static_cast<double>(slot.sim.wavefronts));
   }
-  if (ran == 0) return;
-  std::lock_guard<std::mutex> lk(mu_);
-  for (const MemberSlot& slot : slots) {
-    if (!slot.ran) continue;
-    member_hist_.record(slot.service_us);
-    if (member_samples_.size() < kMemberSampleCap) {
-      member_samples_.push_back(slot.service_us);
-    }
+  member_runs += ran;
+  if (ran > 1) straggler_gap.record(static_cast<std::uint64_t>(last_done - first_done));
+
+  std::uint64_t live = 0;
+  for (const Request& req : batch) {
+    if (!req.expired) ++live;
   }
-  member_runs_ += ran;
-  for (std::size_t b = 0; b < by_backend.size(); ++b) {
-    member_runs_by_backend_[b] += by_backend[b];
+  // A failed batch ran (and wasted its lanes) but produced no samples; a
+  // fully expired one (live == 0) never ran and offered no lanes.
+  if (!batch_failed && live == 0) return;
+  ++batches;
+  lanes_offered += lane_capacity;
+  if (batch_failed) {
+    failed += live;
+    return;
   }
-  steals_ += stolen;
-  hedge_wins_ += hedge_won;
-  if (ran > 1) {
-    straggler_hist_.record(static_cast<std::uint64_t>(last_done - first_done));
+  requests += live;
+  samples += live;
+  // Execution ends at the last member's completion stamp. Phases clamp at
+  // 0: a ManualClock that never advanced yields all-zero phases.
+  const std::int64_t exec_done =
+      ran == 0 ? dispatched_at_us : std::max(dispatched_at_us, last_done);
+  const auto clamp_us = [](std::int64_t v) -> std::uint64_t {
+    return v > 0 ? static_cast<std::uint64_t>(v) : 0;
+  };
+  for (const Request& req : batch) {
+    if (req.expired) continue;
+    latency.record(clamp_us(
+        std::chrono::duration_cast<std::chrono::microseconds>(now - req.enqueued)
+            .count()));
+    assembly_wait.record(clamp_us(sealed_at_us - to_us(req.enqueued)));
+    // A deadline-less completion is always good work; a deadlined one only
+    // counts toward goodput when it finished in time.
+    if (req.deadline == kNoDeadline || now <= req.deadline) ++deadline_met;
   }
+  queue_wait.record(clamp_us(dispatched_at_us - sealed_at_us));
+  execution.record(clamp_us(exec_done - dispatched_at_us));
+  finalize.record(clamp_us(to_us(now) - exec_done));
 }
 
-void ServeStats::on_hedge_launched() {
-  std::lock_guard<std::mutex> lk(mu_);
-  ++hedges_launched_;
+void StatsRecord::note_queue_depth(std::size_t depth) {
+  queue_depth_hwm = std::max(queue_depth_hwm, depth);
 }
 
-void ServeStats::on_hedge_waste(std::uint64_t wasted_us) {
-  std::lock_guard<std::mutex> lk(mu_);
-  hedge_wasted_us_ += wasted_us;
+void StatsRecord::merge(const StatsRecord& o) {
+  requests += o.requests;
+  batches += o.batches;
+  samples += o.samples;
+  lanes_offered += o.lanes_offered;
+  queue_depth_hwm = std::max(queue_depth_hwm, o.queue_depth_hwm);
+  shed += o.shed;
+  expired += o.expired;
+  failed += o.failed;
+  deadline_met += o.deadline_met;
+  member_runs += o.member_runs;
+  for (std::size_t b = 0; b < member_runs_by_backend.size(); ++b) {
+    member_runs_by_backend[b] += o.member_runs_by_backend[b];
+  }
+  steals += o.steals;
+  hedges_launched += o.hedges_launched;
+  hedge_wins += o.hedge_wins;
+  hedge_wasted_us += o.hedge_wasted_us;
+  latency.merge(o.latency);
+  member.merge(o.member);
+  straggler_gap.merge(o.straggler_gap);
+  assembly_wait.merge(o.assembly_wait);
+  queue_wait.merge(o.queue_wait);
+  execution.merge(o.execution);
+  finalize.merge(o.finalize);
+  add_sim(sim, o.sim, 1.0);
 }
 
-void ServeStats::on_phases(const std::vector<std::uint64_t>& assembly_us,
-                           std::uint64_t queue_wait_us, std::uint64_t execution_us,
-                           std::uint64_t finalize_us) {
-  std::lock_guard<std::mutex> lk(mu_);
-  for (const std::uint64_t us : assembly_us) assembly_hist_.record(us);
-  queue_wait_hist_.record(queue_wait_us);
-  execution_hist_.record(execution_us);
-  finalize_hist_.record(finalize_us);
-}
-
-ServeReport ServeStats::report() const {
-  std::lock_guard<std::mutex> lk(mu_);
+ServeReport make_report(const StatsSnapshot& snapshot) {
   ServeReport r;
-  r.requests = requests_;
-  r.batches = batches_;
-  r.samples = samples_;
-  r.lanes_offered = lanes_offered_;
-  r.lane_occupancy = lanes_offered_ == 0
-                         ? 0.0
-                         : static_cast<double>(samples_) / static_cast<double>(lanes_offered_);
-  r.p50_latency_us = hist_.percentile_us(50.0);
-  r.p99_latency_us = hist_.percentile_us(99.0);
-  r.wall_seconds = std::chrono::duration<double>(clock_->now() - start_).count();
-  r.requests_per_sec =
-      r.wall_seconds > 0.0 ? static_cast<double>(requests_) / r.wall_seconds : 0.0;
-  r.shed = shed_;
-  r.expired = expired_;
-  r.deadline_met = deadline_met_;
-  r.goodput_per_sec =
-      r.wall_seconds > 0.0 ? static_cast<double>(deadline_met_) / r.wall_seconds : 0.0;
-  r.member_runs = member_runs_;
-  r.member_runs_by_backend = member_runs_by_backend_;
-  r.steals = steals_;
-  r.hedges_launched = hedges_launched_;
-  r.hedge_wins = hedge_wins_;
-  r.hedge_wasted_us = hedge_wasted_us_;
-  r.member_p50_us = member_hist_.percentile_us(50.0);
-  r.member_p99_us = member_hist_.percentile_us(99.0);
-  if (!member_samples_.empty()) {
-    std::vector<std::uint64_t> sorted(member_samples_);
-    std::sort(sorted.begin(), sorted.end());
-    const auto rank = [&sorted](double p) {
-      std::size_t r = static_cast<std::size_t>(
-          p / 100.0 * static_cast<double>(sorted.size()));
-      return sorted[r < sorted.size() ? r : sorted.size() - 1];
-    };
-    r.member_p50_exact_us = rank(50.0);
-    r.member_p99_exact_us = rank(99.0);
+  StatsRecord total;
+  r.per_model.reserve(snapshot.rows.size());
+  for (const ModelRecord& row : snapshot.rows) {
+    ModelReport m;
+    summarize(row.stats, snapshot.wall_seconds, &m);
+    m.name = row.name;
+    m.weight = row.weight;
+    m.queue_bound = row.queue_bound;
+    r.per_model.push_back(std::move(m));
+    total.merge(row.stats);
   }
-  r.straggler_gap_p50_us = straggler_hist_.percentile_us(50.0);
-  r.straggler_gap_p99_us = straggler_hist_.percentile_us(99.0);
-  r.phases.assembly_wait = phase_stats(assembly_hist_);
-  r.phases.queue_wait = phase_stats(queue_wait_hist_);
-  r.phases.execution = phase_stats(execution_hist_);
-  r.phases.finalize = phase_stats(finalize_hist_);
-  r.sim = sim_;
-  r.sim.lpe_utilization =
-      sim_.wavefronts == 0 ? 0.0 : util_weight_ / static_cast<double>(sim_.wavefronts);
+  summarize(total, snapshot.wall_seconds, &r);
+  r.wall_seconds = snapshot.wall_seconds;
+  r.requests_per_sec = per_sec(total.requests, snapshot.wall_seconds);
   return r;
-}
-
-void ServeStats::reset() {
-  std::lock_guard<std::mutex> lk(mu_);
-  hist_ = LatencyHistogram{};
-  member_hist_ = LatencyHistogram{};
-  straggler_hist_ = LatencyHistogram{};
-  assembly_hist_ = LatencyHistogram{};
-  queue_wait_hist_ = LatencyHistogram{};
-  execution_hist_ = LatencyHistogram{};
-  finalize_hist_ = LatencyHistogram{};
-  requests_ = batches_ = samples_ = lanes_offered_ = 0;
-  shed_ = expired_ = deadline_met_ = 0;
-  member_runs_ = steals_ = 0;
-  member_runs_by_backend_.fill(0);
-  member_samples_.clear();
-  hedges_launched_ = hedge_wins_ = hedge_wasted_us_ = 0;
-  sim_ = SimCounters{};
-  util_weight_ = 0.0;
-  start_ = clock_->now();
 }
 
 }  // namespace lbnn::runtime

@@ -12,11 +12,6 @@ std::size_t round_up_pow2(std::size_t n) {
   return p;
 }
 
-std::int64_t to_us(TimePoint tp) {
-  return std::chrono::duration_cast<std::chrono::microseconds>(tp.time_since_epoch())
-      .count();
-}
-
 // Minimal JSON string escaper: model names come from user code.
 void write_json_string(std::ostream& os, const std::string& s) {
   os << '"';

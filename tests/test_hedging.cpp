@@ -363,6 +363,12 @@ TEST_F(HedgingTest, HedgeCompletesBatchAcrossDrainAndUnload) {
   expect_books_close(rep, accepted_);
   EXPECT_EQ(rep.hedges_launched, 1u);
   EXPECT_EQ(rep.hedge_wins, 1u);
+  // The loser returned after the unload folded the model's record into the
+  // retired row: its waste (the 9 ms it sat parked) still lands there.
+  EXPECT_GE(rep.hedge_wasted_us, 9000u);
+  ASSERT_EQ(rep.per_model.size(), 1u);
+  EXPECT_EQ(rep.per_model[0].name, "(retired)");
+  EXPECT_EQ(rep.per_model[0].hedge_wasted_us, rep.hedge_wasted_us);
 }
 
 // A 4-member batch that partially expires before dispatch AND hedges its

@@ -267,6 +267,58 @@ TEST(Router, SustainedShedsGrowReplicasThenIdleRetires) {
   EXPECT_EQ(rep.total.expired, 0u);
 }
 
+// A shard's Engine::reset_stats() between two ticks restarts its counters
+// below the rebalancer's last reading: the window then counts everything
+// since the reset instead of reading 0. Each reset below would otherwise
+// flip the decision — hiding 16 completions makes 2 sheds look like
+// shedding, and hiding 1 shed (the counter fell from 2 to 1) misses a real
+// add signal.
+TEST(Router, RebalancerWindowSpansShardReset) {
+  RouterFixture fx(/*rebalance_interval=*/1s, /*initial_replicas=*/1);
+  fx.ropt.add_shed_fraction = 0.5;
+  Router router(fx.ropt);
+  const Netlist nl = small_grid(7);
+  RoutedHandle h = router.load("grid", nl);
+  const std::vector<bool> bits(nl.num_inputs(), true);
+  const auto serve_batch = [&] {
+    std::vector<std::future<std::vector<bool>>> futs;
+    for (std::size_t i = 0; i < kLanes; ++i) futs.push_back(router.submit(h, bits));
+    for (auto& f : futs) f.get();
+  };
+  const auto shed = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      std::future<std::vector<bool>> fut;
+      ASSERT_EQ(router.try_submit(h, bits, &fut, fx.clock.now() + 500us),
+                SubmitStatus::kDeadlineUnmeetable);
+    }
+  };
+  // Teach shard 0 a 1000 us service EWMA, so a 500 us deadline sheds.
+  TeachingHook hook;
+  hook.clock = &fx.clock;
+  router.shard(0).set_member_hook(std::ref(hook));
+  serve_batch();
+  hook.teaching.store(false, std::memory_order_release);
+  serve_batch();
+
+  fx.clock.advance(1s);  // window 1: 32 completed, no sheds
+  router.wait_for_ticks(1);
+  EXPECT_EQ(router.replicas(h), 1u);
+
+  router.shard(0).reset_stats();
+  serve_batch();
+  shed(2);
+  fx.clock.advance(1s);  // window 2: 16 completed (counter 32 -> 16), 2 shed
+  router.wait_for_ticks(2);
+  EXPECT_EQ(router.replicas(h), 1u);  // 2 of 18 is below the add fraction
+
+  router.shard(0).reset_stats();
+  shed(1);
+  fx.clock.advance(1s);  // window 3: 1 shed (counter 2 -> 1), nothing done
+  router.wait_for_ticks(3);
+  EXPECT_EQ(router.replicas(h), 2u);
+  router.shard(0).set_member_hook(nullptr);
+}
+
 // The first deadline is one interval after construction, not after the
 // rebalancer thread first runs: an advance that lands before the thread
 // reads the clock must still yield its tick. The start hook plays a thread
@@ -427,6 +479,92 @@ TEST(Router, FleetBooksCloseAcrossShedExpiredCompleted) {
 
   router.shard(0).set_member_hook(nullptr);
   router.shard(1).set_member_hook(nullptr);
+}
+
+// The fleet report is the per-shard records merged, not a field-by-field
+// approximation: every counter in `total` (each backend column too) and in
+// the merged per-model row is the sum over shards, and the fleet p99 is the
+// p99 of the merged histogram buckets. One shard serves 100 fast batches and
+// the other one slow batch, so the worst shard's p99 sits far above the
+// fleet's.
+TEST(Router, FleetTotalsAreMergedShardRecords) {
+  RouterFixture fx;
+  Router router(fx.ropt);
+  const Netlist nl = small_grid(6);
+  const std::vector<bool> bits(nl.num_inputs(), true);
+  // Load the same name straight onto each shard, so the test alone decides
+  // which shard serves what; the fleet merges rows by name all the same.
+  const auto serve = [&](std::size_t shard, int batches,
+                         std::chrono::microseconds service) {
+    runtime::Engine& engine = router.shard(shard);
+    const runtime::ModelHandle h = engine.load("m", nl);
+    engine.set_member_hook([&fx, service](const std::string&, std::size_t,
+                                          bool) { fx.clock.advance(service); });
+    for (int b = 0; b < batches; ++b) {
+      std::vector<std::future<std::vector<bool>>> futs;
+      for (std::size_t i = 0; i < kLanes; ++i) futs.push_back(engine.submit(h, bits));
+      for (auto& f : futs) (void)f.get();
+    }
+    engine.set_member_hook(nullptr);
+  };
+  serve(0, 100, 10us);
+  serve(1, 1, 1ms);
+
+  const FleetReport rep = router.report();
+  ASSERT_EQ(rep.per_shard.size(), 2u);
+  ASSERT_EQ(rep.total.per_model.size(), 1u);
+  const runtime::ModelReport& row = rep.total.per_model[0];
+  EXPECT_EQ(row.name, "m");
+  using S = runtime::StatsSummary;
+  const std::pair<const char*, std::uint64_t S::*> counters[] = {
+      {"requests", &S::requests},
+      {"batches", &S::batches},
+      {"samples", &S::samples},
+      {"lanes_offered", &S::lanes_offered},
+      {"shed", &S::shed},
+      {"expired", &S::expired},
+      {"failed", &S::failed},
+      {"deadline_met", &S::deadline_met},
+      {"member_runs", &S::member_runs},
+      {"steals", &S::steals},
+      {"hedges_launched", &S::hedges_launched},
+      {"hedge_wins", &S::hedge_wins},
+      {"hedge_wasted_us", &S::hedge_wasted_us},
+  };
+  for (const auto& [name, field] : counters) {
+    const std::uint64_t sum = rep.per_shard[0].*field + rep.per_shard[1].*field;
+    EXPECT_EQ(rep.total.*field, sum) << name;
+    EXPECT_EQ(row.*field, sum) << "per_model " << name;
+  }
+  std::uint64_t by_backend = 0;
+  for (std::size_t b = 0; b < kNumBackendKinds; ++b) {
+    const std::uint64_t sum = rep.per_shard[0].member_runs_by_backend[b] +
+                              rep.per_shard[1].member_runs_by_backend[b];
+    EXPECT_EQ(rep.total.member_runs_by_backend[b], sum) << "backend " << b;
+    EXPECT_EQ(row.member_runs_by_backend[b], sum) << "per_model backend " << b;
+    by_backend += sum;
+  }
+  EXPECT_EQ(rep.total.member_runs, 101u);
+  EXPECT_EQ(by_backend, rep.total.member_runs);
+  EXPECT_EQ(rep.total.sim.wavefronts,
+            rep.per_shard[0].sim.wavefronts + rep.per_shard[1].sim.wavefronts);
+  EXPECT_EQ(row.sim.lpe_computes, rep.per_shard[0].sim.lpe_computes +
+                                      rep.per_shard[1].sim.lpe_computes);
+
+  // Percentiles: the merged buckets', which no shard's p99 equals here.
+  runtime::LatencyHistogram merged;
+  for (std::size_t i = 0; i < router.num_shards(); ++i) {
+    for (const runtime::ModelRecord& r : router.shard(i).stats_snapshot().rows) {
+      merged.merge(r.stats.latency);
+    }
+  }
+  EXPECT_EQ(merged.count(), 101 * kLanes);
+  EXPECT_EQ(rep.per_shard[0].p99_latency_us, 10u);
+  EXPECT_EQ(rep.per_shard[1].p99_latency_us, 1023u);  // [992, 1024)
+  EXPECT_EQ(rep.total.p99_latency_us, merged.percentile_us(99.0));
+  EXPECT_EQ(rep.total.p99_latency_us, 10u);
+  EXPECT_EQ(row.p99_latency_us, 10u);
+  EXPECT_EQ(rep.total.p50_latency_us, merged.percentile_us(50.0));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <future>
 #include <stdexcept>
@@ -463,51 +464,169 @@ TEST(ProgramCache, FingerprintSensitivity) {
   EXPECT_EQ(fingerprint(nl, opt), fingerprint(nl, opt));
 }
 
-TEST(LatencyHistogram, PercentilesAreMonotonic) {
-  LatencyHistogram h;
-  EXPECT_EQ(h.percentile_us(99.0), 0u);
-  for (std::uint64_t us = 1; us <= 1000; ++us) h.record(us);
-  EXPECT_EQ(h.count(), 1000u);
-  const auto p50 = h.percentile_us(50.0);
-  const auto p99 = h.percentile_us(99.0);
-  EXPECT_LE(p50, p99);
-  EXPECT_GE(p50, 256u);   // true p50 is 500 -> bucket [512, 1024)
-  EXPECT_LE(p99, 2048u);  // true p99 is 990, octave resolution
+// The log-linear buckets over a table of values from 0 to 2^40: a percentile
+// never understates the sample it stands for and overstates it by at most
+// 1/16 (6.25%); merging two histograms equals recording their union; an
+// empty histogram reads 0.
+TEST(LatencyHistogram, LogLinearBoundsAndExactMerge) {
+  const LatencyHistogram empty;
+  EXPECT_EQ(empty.count(), 0u);
+  EXPECT_EQ(empty.percentile_us(50.0), 0u);
+  EXPECT_EQ(empty.percentile_us(99.0), 0u);
+
+  std::vector<std::uint64_t> values;
+  for (std::uint64_t v = 0; v < 64; ++v) values.push_back(v);
+  for (int k = 6; k <= 40; ++k) {
+    const std::uint64_t base = 1ull << k;
+    for (const std::uint64_t v : {base - 1, base, base + 1, base + base / 3,
+                                  base + base / 16, 2 * base - 1}) {
+      values.push_back(v);
+    }
+  }
+  const auto within_bound = [](std::uint64_t got, std::uint64_t want) {
+    return got >= want && got - want <= want / 16;
+  };
+  for (const std::uint64_t v : values) {
+    LatencyHistogram h;
+    h.record(v);
+    EXPECT_TRUE(within_bound(h.percentile_us(50.0), v))
+        << v << " read " << h.percentile_us(50.0);
+  }
+
+  // Over the whole table at once, against the nearest-rank sample the
+  // percentile stands for.
+  LatencyHistogram all, even, odd;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    all.record(values[i]);
+    (i % 2 == 0 ? even : odd).record(values[i]);
+  }
+  std::vector<std::uint64_t> sorted(values);
+  std::sort(sorted.begin(), sorted.end());
+  for (const double p : {1.0, 25.0, 50.0, 90.0, 99.0, 100.0}) {
+    auto rank = static_cast<std::size_t>(p / 100.0 * sorted.size() + 0.5);
+    rank = std::clamp<std::size_t>(rank, 1, sorted.size());
+    EXPECT_TRUE(within_bound(all.percentile_us(p), sorted[rank - 1])) << "p" << p;
+  }
+
+  even.merge(odd);
+  EXPECT_EQ(even.count(), all.count());
+  for (int p = 1; p <= 100; ++p) {
+    EXPECT_EQ(even.percentile_us(p), all.percentile_us(p)) << "p" << p;
+  }
 }
 
-TEST(ServeStats, AggregatesBatchesAndSims) {
-  ServeStats stats;
-  SimCounters c;
-  c.wavefronts = 10;
-  c.lpe_computes = 40;
-  c.lpe_utilization = 0.5;
-  stats.on_sim_run(c);
-  stats.on_sim_run(c);
-  stats.on_batch(12, 16);
-  stats.on_batch(4, 16);
-  stats.on_request_done(100);
-  const ServeReport rep = stats.report();
+ServeReport report_of(const ModelStats& stats, double wall_seconds = 0.0) {
+  StatsSnapshot snap;
+  snap.wall_seconds = wall_seconds;
+  snap.rows.push_back(ModelRecord{"m", 1, 0, stats.snapshot()});
+  return make_report(snap);
+}
+
+/// One request per entry, submitted `ago_us` before `now`, with `deadline`.
+std::vector<Request> requests_ago(TimePoint now,
+                                  const std::vector<std::int64_t>& ago_us,
+                                  TimePoint deadline = kNoDeadline) {
+  std::vector<Request> reqs(ago_us.size());
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    reqs[i].enqueued = now - std::chrono::microseconds(ago_us[i]);
+    reqs[i].deadline = deadline;
+  }
+  return reqs;
+}
+
+/// `n` ran member slots with the given simulator counters.
+std::vector<MemberSlot> ran_slots(std::size_t n, const SimCounters& sim) {
+  std::vector<MemberSlot> slots(n);
+  for (MemberSlot& slot : slots) {
+    slot.ran = true;
+    slot.sim = sim;
+  }
+  return slots;
+}
+
+// A member run's simulator counters travel in its slot and land in its
+// model's record; the report sums them and weights utilization by
+// wavefronts, in the row and in the total alike.
+TEST(ModelStats, AggregatesBatchesAndSims) {
+  const TimePoint now = ManualClock().now();
+  SimCounters light, heavy;
+  light.wavefronts = 10;
+  light.lpe_computes = 40;
+  light.lpe_utilization = 0.5;
+  heavy.wavefronts = 30;
+  heavy.lpe_computes = 40;
+  heavy.lpe_utilization = 0.9;
+  ModelStats stats;
+  stats.record([&](StatsRecord& s) {
+    s.add_batch(requests_ago(now, std::vector<std::int64_t>(12, 100)),
+                ran_slots(1, light), 16, false, 0, 0, now);
+    s.add_batch(requests_ago(now, std::vector<std::int64_t>(4, 100)),
+                ran_slots(1, heavy), 16, false, 0, 0, now);
+  });
+  const ServeReport rep = report_of(stats);
+  EXPECT_EQ(rep.requests, 16u);
   EXPECT_EQ(rep.batches, 2u);
   EXPECT_EQ(rep.samples, 16u);
   EXPECT_EQ(rep.lanes_offered, 32u);
   EXPECT_DOUBLE_EQ(rep.lane_occupancy, 0.5);
-  EXPECT_EQ(rep.sim.wavefronts, 20u);
+  EXPECT_EQ(rep.member_runs, 2u);
+  EXPECT_EQ(rep.sim.wavefronts, 40u);
   EXPECT_EQ(rep.sim.lpe_computes, 80u);
-  EXPECT_DOUBLE_EQ(rep.sim.lpe_utilization, 0.5);
-  EXPECT_EQ(rep.requests, 1u);
+  EXPECT_DOUBLE_EQ(rep.sim.lpe_utilization, (10 * 0.5 + 30 * 0.9) / 40);
+  ASSERT_EQ(rep.per_model.size(), 1u);
+  EXPECT_EQ(rep.per_model[0].sim.wavefronts, 40u);
+  EXPECT_DOUBLE_EQ(rep.per_model[0].sim.lpe_utilization, rep.sim.lpe_utilization);
 }
 
-// Wall-clock-derived figures (rates, goodput) are stamped off the injected
-// clock: a ManualClock makes them exact instead of host-speed-dependent.
-TEST(ServeStats, RatesAreDeterministicOnManualClock) {
-  ManualClock clock;
-  ServeStats stats(&clock);
-  stats.on_requests_done({100, 200, 300, 400}, /*deadline_met=*/3);
-  stats.on_shed();
-  stats.on_shed();
-  stats.on_expired(5);
-  clock.advance(std::chrono::seconds(2));
-  const ServeReport rep = stats.report();
+// The record's own update rules: latencies and deadline outcomes of the live
+// requests only (expired ones were settled at dequeue), the queue-depth
+// peak rather than the last reading, lanes offered per batch.
+TEST(ModelStats, PerModelBreakdown) {
+  const TimePoint now = ManualClock().now();
+  std::vector<Request> batch = requests_ago(now, {100, 200});
+  std::vector<Request> late =
+      requests_ago(now, {400}, now - std::chrono::microseconds(1));
+  std::vector<Request> gone = requests_ago(now, {900, 900});
+  for (Request& r : gone) r.expired = true;
+  for (auto* more : {&late, &gone}) {
+    for (Request& r : *more) batch.push_back(std::move(r));
+  }
+  ModelStats stats;
+  stats.record([&](StatsRecord& s) {
+    s.add_batch(batch, ran_slots(1, SimCounters{}), 16, false, 0, 0, now);
+    for (const std::size_t depth : {2, 7, 4}) s.note_queue_depth(depth);
+    ++s.shed;
+    s.expired += 2;
+  });
+  const ModelReport rep = report_of(stats).per_model.at(0);
+  EXPECT_EQ(rep.name, "m");
+  EXPECT_EQ(rep.requests, 3u);
+  EXPECT_EQ(rep.batches, 1u);
+  EXPECT_EQ(rep.samples, 3u);
+  EXPECT_EQ(rep.lanes_offered, 16u);
+  EXPECT_DOUBLE_EQ(rep.lane_occupancy, 3.0 / 16.0);
+  EXPECT_EQ(rep.p50_latency_us, 207u);  // 200 us -> [200, 208)
+  EXPECT_EQ(rep.p99_latency_us, 415u);  // 400 us -> [400, 416)
+  EXPECT_EQ(rep.queue_depth_hwm, 7u);
+  EXPECT_EQ(rep.shed, 1u);
+  EXPECT_EQ(rep.expired, 2u);
+  EXPECT_EQ(rep.deadline_met, 2u);
+}
+
+// Rates are counts over the snapshot's window: goodput counts only the
+// on-deadline completions, in the row and in the total alike.
+TEST(ModelStats, RatesComeFromTheSnapshotWindow) {
+  const TimePoint now = ManualClock().now();
+  std::vector<Request> batch = requests_ago(now, {100, 200, 300});
+  batch.push_back(std::move(
+      requests_ago(now, {400}, now - std::chrono::microseconds(1)).front()));
+  ModelStats stats;
+  stats.record([&](StatsRecord& s) {
+    s.add_batch(batch, ran_slots(1, SimCounters{}), 16, false, 0, 0, now);
+    s.shed += 2;
+    s.expired += 5;
+  });
+  const ServeReport rep = report_of(stats, 2.0);
   EXPECT_EQ(rep.requests, 4u);
   EXPECT_EQ(rep.shed, 2u);
   EXPECT_EQ(rep.expired, 5u);
@@ -515,35 +634,222 @@ TEST(ServeStats, RatesAreDeterministicOnManualClock) {
   EXPECT_DOUBLE_EQ(rep.wall_seconds, 2.0);
   EXPECT_DOUBLE_EQ(rep.requests_per_sec, 2.0);
   EXPECT_DOUBLE_EQ(rep.goodput_per_sec, 1.5);
-  // reset() re-anchors on the same clock.
-  stats.reset();
+  ASSERT_EQ(rep.per_model.size(), 1u);
+  EXPECT_EQ(rep.per_model[0].deadline_met, 3u);
+  EXPECT_DOUBLE_EQ(rep.per_model[0].goodput_per_sec, 1.5);
+}
+
+// Wall-clock-derived figures (rates, goodput) are stamped off the injected
+// clock: a ManualClock makes them exact instead of host-speed-dependent, and
+// reset_stats() re-anchors the window on the same clock. The member hook
+// runs 10 ms of manual time, so the deadlined batch completes late: it
+// counts in requests but not in goodput.
+TEST(Engine, StatsRatesAreDeterministicOnManualClock) {
+  ManualClock clock;
+  Rng gen(57);
+  const Netlist nl = reconvergent_grid(8, 4, gen);
+  EngineOptions eopt;
+  eopt.num_workers = 1;
+  eopt.compile = small_lpu();
+  eopt.batch_timeout = std::chrono::hours(1);
+  eopt.clock = &clock;
+  eopt.hedging = false;
+  Engine engine(eopt);
+  const ModelHandle grid = engine.load("grid", nl);
+  engine.set_member_hook([&](const std::string&, std::size_t, bool) {
+    clock.advance(std::chrono::milliseconds(10));
+  });
+  const auto serve_batch = [&](TimePoint deadline) {
+    std::vector<std::future<std::vector<bool>>> futs;
+    for (int i = 0; i < 16; ++i) {  // one lane-full batch
+      futs.push_back(
+          engine.submit(grid, std::vector<bool>(nl.num_inputs(), true), deadline));
+    }
+    for (auto& f : futs) (void)f.get();
+  };
+
+  // First, while the service EWMA is cold and admission cannot shed: a
+  // 5 ms deadline the 10 ms run overshoots.
+  serve_batch(clock.now() + std::chrono::milliseconds(5));
+  serve_batch(kNoDeadline);
+  clock.advance(std::chrono::milliseconds(1980));  // 2 s since construction
+  const ServeReport rep = engine.report();
+  EXPECT_EQ(rep.requests, 32u);
+  EXPECT_EQ(rep.expired, 0u);
+  EXPECT_EQ(rep.deadline_met, 16u);
+  EXPECT_DOUBLE_EQ(rep.wall_seconds, 2.0);
+  EXPECT_DOUBLE_EQ(rep.requests_per_sec, 16.0);
+  EXPECT_DOUBLE_EQ(rep.goodput_per_sec, 8.0);
+  EXPECT_DOUBLE_EQ(rep.per_model.at(0).goodput_per_sec, 8.0);
+
+  engine.reset_stats();
   clock.advance(std::chrono::seconds(1));
-  const ServeReport fresh = stats.report();
+  const ServeReport fresh = engine.report();
   EXPECT_EQ(fresh.requests, 0u);
-  EXPECT_EQ(fresh.shed, 0u);
+  EXPECT_EQ(fresh.per_model.at(0).requests, 0u);
   EXPECT_DOUBLE_EQ(fresh.wall_seconds, 1.0);
 }
 
-TEST(ModelStats, PerModelBreakdown) {
-  ModelStats stats;
-  stats.on_requests_done({100, 200, 400}, /*deadline_met=*/2);
-  stats.on_batch(3, 16);
-  stats.on_queue_depth(2);
-  stats.on_queue_depth(7);
-  stats.on_queue_depth(4);  // hwm keeps the peak, not the last sample
-  stats.on_shed();
-  stats.on_expired(2);
-  const ModelReport rep = stats.report();
-  EXPECT_EQ(rep.requests, 3u);
-  EXPECT_EQ(rep.batches, 1u);
-  EXPECT_EQ(rep.samples, 3u);
-  EXPECT_EQ(rep.lanes_offered, 16u);
-  EXPECT_DOUBLE_EQ(rep.lane_occupancy, 3.0 / 16.0);
-  EXPECT_LE(rep.p50_latency_us, rep.p99_latency_us);
-  EXPECT_EQ(rep.queue_depth_hwm, 7u);
-  EXPECT_EQ(rep.shed, 1u);
-  EXPECT_EQ(rep.expired, 2u);
-  EXPECT_EQ(rep.deadline_met, 2u);
+// The queue-depth high-water mark is the engine's peak, not its last
+// reading: three batches queue up behind one parked in the member hook,
+// then a lone batch finds the queue empty again.
+TEST(Engine, QueueDepthHwmKeepsThePeak) {
+  ManualClock clock;
+  Rng gen(60);
+  const Netlist nl = reconvergent_grid(8, 4, gen);
+  EngineOptions eopt;
+  eopt.num_workers = 1;
+  eopt.compile = small_lpu();
+  eopt.batch_timeout = std::chrono::hours(1);
+  eopt.clock = &clock;
+  eopt.hedging = false;
+  Engine engine(eopt);
+  ModelOptions mopt;
+  mopt.queue_bound = 128;
+  const ModelHandle grid = engine.load("grid", nl, mopt);
+  std::promise<void> parked, release;
+  std::shared_future<void> released = release.get_future().share();
+  std::atomic<int> runs{0};
+  engine.set_member_hook([&](const std::string&, std::size_t, bool) {
+    if (runs.fetch_add(1) != 0) return;
+    parked.set_value();
+    released.wait();
+  });
+  std::vector<std::future<std::vector<bool>>> futs;
+  const auto submit_batch = [&] {
+    for (int i = 0; i < 16; ++i) {
+      futs.push_back(engine.submit(grid, std::vector<bool>(nl.num_inputs(), true)));
+    }
+  };
+
+  submit_batch();  // the worker takes it and parks
+  parked.get_future().wait();
+  for (int b = 0; b < 3; ++b) submit_batch();  // queue depth 1, 2, 3
+  release.set_value();
+  for (auto& f : futs) (void)f.get();
+  futs.clear();
+  submit_batch();  // depth 1 again
+  for (auto& f : futs) (void)f.get();
+  const ServeReport rep = engine.report();
+  EXPECT_EQ(rep.requests, 80u);
+  EXPECT_EQ(rep.per_model.at(0).queue_depth_hwm, 3u);
+  EXPECT_EQ(rep.queue_depth_hwm, 3u);
+}
+
+// reset_stats() clears every row, the retired aggregate included, so the
+// per-model rows keep summing to the totals across a reset.
+TEST(Engine, ResetStatsCoversPerModelAndRetiredRows) {
+  ManualClock clock;
+  Rng gen(58);
+  const Netlist nl = reconvergent_grid(8, 4, gen);
+  EngineOptions eopt;
+  eopt.num_workers = 1;
+  eopt.compile = small_lpu();
+  eopt.batch_timeout = std::chrono::hours(1);
+  eopt.clock = &clock;
+  eopt.hedging = false;
+  Engine engine(eopt);
+  const ModelHandle a = engine.load("a", nl);
+  const ModelHandle b = engine.load("b", nl);
+  const auto serve = [&](const ModelHandle& h, int batches) {
+    std::vector<std::future<std::vector<bool>>> futs;
+    for (int i = 0; i < 16 * batches; ++i) {
+      futs.push_back(engine.submit(h, std::vector<bool>(nl.num_inputs(), true)));
+    }
+    for (auto& f : futs) (void)f.get();
+  };
+  const auto expect_rows_sum_to_total = [](const ServeReport& rep) {
+    std::uint64_t requests = 0, batches = 0, member_runs = 0;
+    for (const ModelReport& m : rep.per_model) {
+      requests += m.requests;
+      batches += m.batches;
+      member_runs += m.member_runs;
+    }
+    EXPECT_EQ(requests, rep.requests);
+    EXPECT_EQ(batches, rep.batches);
+    EXPECT_EQ(member_runs, rep.member_runs);
+  };
+
+  serve(a, 2);  // warm-up on both models, then a leaves for the retired row
+  serve(b, 3);
+  ASSERT_TRUE(engine.unload(a));
+  ServeReport rep = engine.report();
+  ASSERT_EQ(rep.per_model.size(), 2u);
+  EXPECT_EQ(rep.requests, 80u);
+  expect_rows_sum_to_total(rep);
+
+  engine.reset_stats();
+  serve(b, 1);
+  rep = engine.report();
+  ASSERT_EQ(rep.per_model.size(), 2u);
+  EXPECT_EQ(rep.requests, 16u);
+  EXPECT_EQ(rep.per_model[0].name, "b");
+  EXPECT_EQ(rep.per_model[0].requests, 16u);
+  EXPECT_EQ(rep.per_model[1].name, "(retired)");
+  EXPECT_EQ(rep.per_model[1].requests, 0u);
+  expect_rows_sum_to_total(rep);
+}
+
+// The books close under executor failure: a member hook that throws on the
+// second run fails that batch's futures, and the report counts them as
+// failed, so every accepted request is in exactly one of requests, expired
+// or failed (none is shed here). ManualClock: no sleep anywhere.
+TEST(Engine, FailedBatchesCloseTheBooks) {
+  ManualClock clock;
+  Rng gen(59);
+  const Netlist nl = reconvergent_grid(8, 4, gen);
+  EngineOptions eopt;
+  eopt.num_workers = 1;
+  eopt.compile = small_lpu();
+  eopt.batch_timeout = std::chrono::hours(1);
+  eopt.clock = &clock;
+  eopt.hedging = false;
+  Engine engine(eopt);
+  const ModelHandle grid = engine.load("grid", nl);
+  std::atomic<int> runs{0};
+  engine.set_member_hook([&](const std::string&, std::size_t, bool) {
+    if (runs.fetch_add(1) + 1 == 2) throw std::runtime_error("injected fault");
+  });
+
+  const std::vector<bool> bits(nl.num_inputs(), true);
+  std::vector<std::future<std::vector<bool>>> futs;
+  for (int i = 0; i < 3 * 16; ++i) futs.push_back(engine.submit(grid, bits));
+  // Two more with a 10 ms deadline, parked in an open batch until the clock
+  // passes it: they expire at dequeue.
+  for (int i = 0; i < 2; ++i) {
+    futs.push_back(
+        engine.submit(grid, bits, clock.now() + std::chrono::milliseconds(10)));
+  }
+  clock.advance(std::chrono::milliseconds(20));
+  engine.drain();
+  std::uint64_t ok = 0, failed = 0, expired = 0;
+  for (auto& f : futs) {
+    try {
+      (void)f.get();
+      ++ok;
+    } catch (const DeadlineExceeded&) {
+      ++expired;
+    } catch (const Error&) {
+      ++failed;
+    }
+  }
+  EXPECT_EQ(ok, 32u);
+  EXPECT_EQ(failed, 16u);
+  EXPECT_EQ(expired, 2u);
+
+  const std::uint64_t accepted = futs.size();
+  const ServeReport rep = engine.report();
+  EXPECT_EQ(rep.requests + rep.shed + rep.expired + rep.failed, accepted);
+  EXPECT_EQ(rep.requests, ok);
+  EXPECT_EQ(rep.failed, failed);
+  EXPECT_EQ(rep.expired, expired);
+  EXPECT_EQ(rep.shed, 0u);
+  EXPECT_EQ(rep.batches, 3u);  // the failed batch offered its lanes too
+  ASSERT_EQ(rep.per_model.size(), 1u);
+  EXPECT_EQ(rep.per_model[0].failed, failed);
+  EXPECT_NE(engine.metrics_prometheus().find("lbnn_failed_total 16"),
+            std::string::npos);
+  EXPECT_NE(engine.metrics_json().find("\"failed\":16"), std::string::npos);
 }
 
 // Engine-level ManualClock integration: a partial batch seals when the TEST

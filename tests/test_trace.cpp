@@ -430,7 +430,8 @@ TEST(TraceRingOverflow, DropsAreCountedNotBlocking) {
 // Phase decomposition from one exactly-timed batch: the request waits 200 us
 // for the timeout seal (assembly), the member hook advances 1 ms inside the
 // run (execution), and nothing else moves the clock — so the histograms must
-// land in the 255 us and 1023 us log2 buckets with zero queue-wait/finalize.
+// land in the buckets whose upper bounds are 207 us and 1023 us, with zero
+// queue-wait/finalize.
 TEST(TracePhases, DecompositionMatchesManualSchedule) {
   ManualClock clock;
   const Netlist nl = wide_dag(503);
@@ -452,13 +453,13 @@ TEST(TracePhases, DecompositionMatchesManualSchedule) {
 
   const ServeReport rep = engine.report();
   ASSERT_EQ(rep.phases.assembly_wait.count, 1u);
-  EXPECT_EQ(rep.phases.assembly_wait.p50_us, 255u);   // 200 us -> [128, 256)
+  EXPECT_EQ(rep.phases.assembly_wait.p50_us, 207u);   // 200 us -> [200, 208)
   EXPECT_EQ(rep.phases.queue_wait.p50_us, 0u);
   ASSERT_EQ(rep.phases.execution.count, 1u);
-  EXPECT_EQ(rep.phases.execution.p50_us, 1023u);      // 1000 us -> [512, 1024)
+  EXPECT_EQ(rep.phases.execution.p50_us, 1023u);      // 1000 us -> [992, 1024)
   EXPECT_EQ(rep.phases.finalize.p50_us, 0u);
   ASSERT_EQ(rep.per_model.size(), 1u);
-  EXPECT_EQ(rep.per_model[0].phases.assembly_wait.p50_us, 255u);
+  EXPECT_EQ(rep.per_model[0].phases.assembly_wait.p50_us, 207u);
   EXPECT_EQ(rep.per_model[0].phases.execution.p50_us, 1023u);
 }
 
