@@ -41,7 +41,6 @@ BENCHES = [
     ("serve_fairness", ["200"]),
     ("serve_overload", ["200"]),
     ("serve_stealing", ["30"]),
-    ("serve_hedging", ["30"]),
     ("serve_sharding", ["200"]),
     ("serve_simd", ["200"]),
     ("serve_aot", ["120"]),

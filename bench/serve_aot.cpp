@@ -75,7 +75,6 @@ EngineOptions anchor_options(std::uint32_t word_width, bool aot,
   eopt.simd = true;
   eopt.aot = aot;
   eopt.artifact_dir = artifact_dir;
-  eopt.hedging = false;  // keep the service-time percentiles pure
   return eopt;
 }
 

@@ -13,8 +13,7 @@
 // is exactly the cost every scheduler feature built in PRs 2-7 multiplies.
 //
 //   scalar       EngineOptions::simd = false — the original BitVec-at-a-time
-//                interpreter, kept alive as the bit-exactness oracle (the
-//                same baseline pattern as hedging=false).
+//                interpreter, kept alive as the bit-exactness oracle.
 //   bit-sliced   EngineOptions::simd = true (the default) — gate evaluation
 //                on packed 64-bit words across the full batch width, AVX2
 //                when the CPU has it (LBNN_NO_AVX2 / LBNN_FORCE_SCALAR
@@ -79,9 +78,6 @@ ModeResult run_mode(bool simd, const Netlist& nl, int rounds,
   eopt.compile.lpu.n = 8;
   eopt.compile.lpu.word_width = word_width;
   eopt.simd = simd;
-  // Isolate the execution kernel: hedging would launch duplicate member runs
-  // whose cancelled losers pollute the service-time percentiles.
-  eopt.hedging = false;
   Engine engine(eopt);
   const ModelHandle h = engine.load(simd ? "simd" : "scalar", nl);
 

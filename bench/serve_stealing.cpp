@@ -70,17 +70,13 @@ ModeResult run_mode(std::uint32_t workers, const Netlist& nl, int rounds,
   eopt.batch_timeout = std::chrono::hours(1);
   eopt.compile.lpu.m = 8;  // 16-lane words
   eopt.compile.lpu.n = 8;
-  // This bench isolates stealing; speculative duplicates of the slow member
-  // would only burn sleeping workers here (the hook slows member 0 for every
-  // executor). bench/serve_hedging measures hedging on its own.
-  eopt.hedging = false;
   Engine engine(eopt);
   const ModelHandle h = engine.load_parallel("straggler", nl, kMembers);
   // The artificial straggler: member 0 is slow_factor x slower than its
   // siblings. Charged inside the timed region, so it lands in the service
   // EWMA and the member/straggler-gap percentiles like real compute would.
   engine.set_member_hook(
-      [base, slow](const std::string&, std::size_t member, bool) {
+      [base, slow](const std::string&, std::size_t member) {
         std::this_thread::sleep_for(member == 0 ? slow : base);
       });
 

@@ -335,9 +335,6 @@ int main(int argc, char** argv) {
               << cs.native_disk_hits << " disk hit(s), " << cs.native_failures
               << " failure(s); artifacts in " << engine.artifact_dir() << "\n";
   }
-  std::cout << "hedges " << rep.hedges_launched << " launched, "
-            << rep.hedge_wins << " won, " << rep.hedge_wasted_us
-            << " us discarded\n";
   std::cout << "simulated " << rep.sim.clock_cycles << " LPU clock cycles, "
             << rep.sim.lpe_computes << " LPE computes\n";
   // Where did the latency go? The same lifecycle stamps the trace records,

@@ -157,33 +157,18 @@ AotExecutor::AotExecutor(const Program& prog,
   prog_.validate();
 }
 
-std::vector<BitVec> AotExecutor::run(const std::vector<BitVec>& inputs,
-                                     const std::atomic<bool>* cancel) {
+std::vector<BitVec> AotExecutor::run(const std::vector<BitVec>& inputs) {
   const std::size_t width = validate_batch_inputs(prog_, inputs);
   const SlicedProgram& sp = artifact_->sliced;
   const std::size_t words = (width + 63) / 64;
   std::uint64_t* const arena = replay_.load(prog_, sp, inputs, words);
-
-  long stopped_at = -2;
-  if (artifact_->run != nullptr && words == artifact_->native_words) {
-    // The generated code polls the cancel byte between wavefronts. An
-    // std::atomic<bool> is one byte of ordinary storage; the artifact reads
-    // it as a volatile relaxed load — the same monotonic-flag protocol the
-    // replay loop's relaxed load uses.
-    static_assert(sizeof(std::atomic<bool>) == 1,
-                  "AOT cancel ABI needs a byte-sized atomic<bool>");
-    const volatile unsigned char* cancel_byte =
-        cancel == nullptr
-            ? nullptr
-            : reinterpret_cast<const volatile unsigned char*>(cancel);
-    stopped_at = artifact_->run(arena, words, cancel_byte);
-  }
   // No native code, an off-width batch, or code specialized to another width
-  // (it returns -2 without executing anything): replay the stream.
-  if (stopped_at == -2) {
-    stopped_at = replay_.replay(prog_, sp, words, cancel, nullptr);
-  }
-  return replay_.finish(prog_, sp, stopped_at, width, counters_);
+  // (it returns 0 without executing anything): replay the stream.
+  const bool ran_native = artifact_->run != nullptr &&
+                          words == artifact_->native_words &&
+                          artifact_->run(arena, words) != 0;
+  if (!ran_native) replay_.replay(prog_, sp, words, nullptr);
+  return replay_.finish(prog_, sp, width, counters_);
 }
 
 }  // namespace lbnn::aot

@@ -30,11 +30,10 @@ struct AotOptions {
 /// like the sliced interpreter. Immutable once built; shared by every
 /// executor running the program (executors carry the per-run arena, the
 /// artifact carries only code and the stream's metadata — arena layout,
-/// counter prefixes, error replay).
+/// counters, error replay).
 class ProgramArtifact {
  public:
-  using RunFn = long (*)(std::uint64_t* arena, unsigned long words,
-                         const volatile unsigned char* cancel);
+  using RunFn = int (*)(std::uint64_t* arena, unsigned long words);
 
   BackendKind kind = BackendKind::kSliced;
   SlicedProgram sliced;
@@ -96,9 +95,8 @@ ProgramArtifact compile_artifact(const Program& prog, const AotOptions& opt);
 /// the artifact has native code for the batch width, otherwise the same
 /// replay interpreter the bit-sliced LpuSimulator runs (SlicedReplay). The
 /// AOT backend behind the ExecutorBackend seam. Byte-exact with the scalar
-/// oracle by contract: same outputs, same counters (including partial
-/// counters after a cancel), same SimError messages at the same points, and
-/// SimCancelled at identical wavefront boundaries. Single-threaded like
+/// oracle by contract: same outputs, same counters, and the same SimError
+/// messages with the same partial counters. Single-threaded like
 /// LpuSimulator (owns a per-run arena); the engine keeps one per
 /// (worker, program).
 class AotExecutor : public ExecutorBackend {
@@ -108,8 +106,7 @@ class AotExecutor : public ExecutorBackend {
   AotExecutor(const Program& prog,
               std::shared_ptr<const ProgramArtifact> artifact);
 
-  std::vector<BitVec> run(const std::vector<BitVec>& inputs,
-                          const std::atomic<bool>* cancel = nullptr) override;
+  std::vector<BitVec> run(const std::vector<BitVec>& inputs) override;
 
   const SimCounters& counters() const override { return counters_; }
 

@@ -134,18 +134,16 @@ std::string generate_source(const SlicedProgram& sp, const std::string& key,
   }
 
   out +=
-      "extern \"C\" long lbnn_aot_run(u64* A, usize W,\n"
-      "                              const volatile unsigned char* C) {\n"
-      "  if (W != kNW) return -2;  // specialized elsewhere; host falls back\n";
+      "extern \"C\" int lbnn_aot_run(u64* A, usize W) {\n"
+      "  if (W != kNW) return 0;  // specialized elsewhere; host falls back\n";
   op = 0;
   for (std::uint32_t w = 0; w < sp.compiled_waves; ++w) {
-    out += "  if (C && *C) return " + std::to_string(w) + ";\n";
     if (op != sp.wave_op_end[w]) {
       out += "  wv" + std::to_string(w) + "(A);\n";
       op = sp.wave_op_end[w];
     }
   }
-  out += "  return -1;\n}\n";
+  out += "  return 1;\n}\n";
   return out;
 }
 

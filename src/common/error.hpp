@@ -39,16 +39,6 @@ class SimError : public Error {
   explicit SimError(const std::string& what) : Error(what) {}
 };
 
-/// Cooperative cancellation of an LpuSimulator::run: the caller's cancel
-/// flag flipped mid-run, so the simulator abandoned the batch between
-/// wavefronts. Not a program error — the serving runtime's speculative
-/// member hedging uses it to stop the losing duplicate of a member
-/// execution once the other copy has claimed the result slot.
-class SimCancelled : public Error {
- public:
-  explicit SimCancelled(const std::string& what) : Error(what) {}
-};
-
 /// A serving request missed its deadline: either rejected on the blocking
 /// submit path because the queue's estimated drain time already exceeded it
 /// (the non-blocking path reports SubmitStatus::kDeadlineUnmeetable instead),

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -44,9 +43,9 @@ const char* to_string(BackendKind k);
 /// single-threaded — the engine keeps one executor per (worker, program).
 ///
 /// Every implementation is bit-exact by contract against the scalar oracle:
-/// identical output bits, counters, SimError messages, and SimCancelled
-/// wavefront boundaries (tests/test_simd_diff.cpp and tests/test_aot.cpp are
-/// the differential harnesses enforcing it). That contract is what lets the
+/// identical output bits, counters and SimError messages
+/// (tests/test_simd_diff.cpp and tests/test_aot.cpp are the differential
+/// harnesses enforcing it). That contract is what lets the
 /// serving engine promote a model from one backend to another between two
 /// member runs with no observable effect beyond latency.
 class ExecutorBackend {
@@ -55,15 +54,12 @@ class ExecutorBackend {
 
   /// Run one batch. `inputs` holds one BitVec per primary input; all widths
   /// must be equal (each bit lane is an independent sample). Returns one
-  /// BitVec per primary output. `cancel`, when non-null, is polled between
-  /// wavefronts: once it reads true the run throws SimCancelled instead of
-  /// finishing. All run state is per-call, so a cancelled executor is
-  /// immediately reusable.
-  virtual std::vector<BitVec> run(const std::vector<BitVec>& inputs,
-                                  const std::atomic<bool>* cancel = nullptr) = 0;
+  /// BitVec per primary output. All run state is per-call, so an executor
+  /// whose run threw is immediately reusable.
+  virtual std::vector<BitVec> run(const std::vector<BitVec>& inputs) = 0;
 
-  /// Counters of the most recent run (partial counters after a cancel or
-  /// error, exactly as the scalar interpreter would have accumulated them).
+  /// Counters of the most recent run (partial counters after an error,
+  /// exactly as the scalar interpreter would have accumulated them).
   virtual const SimCounters& counters() const = 0;
 
   /// Which implementation this is (stats / trace stamps).

@@ -115,17 +115,16 @@ std::vector<std::uint32_t> LpuSimulator::resolve_staged(
   return staged_src;
 }
 
-std::vector<BitVec> LpuSimulator::run(const std::vector<BitVec>& inputs,
-                                      const std::atomic<bool>* cancel) {
+std::vector<BitVec> LpuSimulator::run(const std::vector<BitVec>& inputs) {
   const std::size_t width = validate_batch_inputs(prog_, inputs);
   // A route oracle resolves routes per run, which only the scalar oracle
   // does — so it takes every run of a simulator that has one.
   if (kernel_ != SimdKernel::kScalar && !oracle_) {
-    return run_compiled(inputs, cancel, width);
+    return run_compiled(inputs, width);
   }
   counters_ = SimCounters{};
   counters_.wavefronts = prog_.num_wavefronts;
-  std::vector<BitVec> outputs = run_scalar(inputs, cancel, width);
+  std::vector<BitVec> outputs = run_scalar(inputs, width);
   complete_counters(prog_, counters_);
   return outputs;
 }
@@ -138,7 +137,6 @@ std::vector<BitVec> LpuSimulator::run(const std::vector<BitVec>& inputs,
 // instead of allocating up to 6 BitVec temporaries per gate.
 // -------------------------------------------------------------------------
 std::vector<BitVec> LpuSimulator::run_scalar(const std::vector<BitVec>& inputs,
-                                             const std::atomic<bool>* cancel,
                                              std::size_t width) {
   const LpuConfig& cfg = prog_.cfg;
   const std::uint32_t n = cfg.n;
@@ -174,10 +172,6 @@ std::vector<BitVec> LpuSimulator::run_scalar(const std::vector<BitVec>& inputs,
   std::vector<char> cur_valid(m, 0);
 
   for (std::uint32_t w = 0; w < prog_.num_wavefronts; ++w) {
-    if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-      throw SimCancelled("simulator run cancelled at wavefront " +
-                         std::to_string(w));
-    }
     std::fill(prev_valid.begin(), prev_valid.end(), 0);
     for (std::uint32_t j = 0; j < n; ++j) {
       const LpvInstr& instr = prog_.instr[w][j];
@@ -275,20 +269,17 @@ std::vector<BitVec> LpuSimulator::run_scalar(const std::vector<BitVec>& inputs,
 
 // -------------------------------------------------------------------------
 // The replay interpreter: replay the op stream compile_sliced() built.
-// Per wavefront: one cancel poll, then kernel calls — every other decision
-// the scalar interpreter makes per gate was already made at lowering time.
-// Counters come from the precomputed prefixes, so a cancelled (or
-// error-replaying) run reports exactly what the interpreter would have
-// accumulated by the same point.
+// Per wavefront: kernel calls only — every decision the scalar interpreter
+// makes per gate was already made at lowering time. Counters come from the
+// precomputed totals, so an error-replaying run reports exactly what the
+// interpreter would have accumulated by the same point.
 // -------------------------------------------------------------------------
 std::vector<BitVec> LpuSimulator::run_compiled(const std::vector<BitVec>& inputs,
-                                               const std::atomic<bool>* cancel,
                                                std::size_t width) {
   const std::size_t words = (width + 63) / 64;
   replay_.load(prog_, sliced_, inputs, words);
-  const long stopped_at =
-      replay_.replay(prog_, sliced_, words, cancel, hook_ ? &hook_ : nullptr);
-  return replay_.finish(prog_, sliced_, stopped_at, width, counters_);
+  replay_.replay(prog_, sliced_, words, hook_ ? &hook_ : nullptr);
+  return replay_.finish(prog_, sliced_, width, counters_);
 }
 
 std::uint64_t* SlicedReplay::load(const Program& prog, const SlicedProgram& sp,
@@ -311,9 +302,8 @@ std::uint64_t* SlicedReplay::load(const Program& prog, const SlicedProgram& sp,
   return arena;
 }
 
-long SlicedReplay::replay(const Program& prog, const SlicedProgram& sp,
-                          std::size_t words, const std::atomic<bool>* cancel,
-                          const InstrHook* hook) {
+void SlicedReplay::replay(const Program& prog, const SlicedProgram& sp,
+                          std::size_t words, const InstrHook* hook) {
   // Kernel table choice is per run: below one full vector of words an AVX2
   // kernel falls straight into its word-loop tail, so narrow batches take
   // the portable table directly. avx2_ is only set when resolve_kernel saw
@@ -325,9 +315,6 @@ long SlicedReplay::replay(const Program& prog, const SlicedProgram& sp,
   const SlicedOp* const ops = sp.ops.data();
   std::size_t op = 0;
   for (std::uint32_t w = 0; w < sp.compiled_waves; ++w) {
-    if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-      return static_cast<long>(w);
-    }
     const std::uint32_t end = sp.wave_op_end[w];
     for (; op < end; ++op) {
       const SlicedOp& o = ops[op];
@@ -339,31 +326,14 @@ long SlicedReplay::replay(const Program& prog, const SlicedProgram& sp,
       }
     }
   }
-  return -1;
 }
 
 std::vector<BitVec> SlicedReplay::finish(const Program& prog,
                                          const SlicedProgram& sp,
-                                         long stopped_at, std::size_t width,
+                                         std::size_t width,
                                          SimCounters& counters) const {
-  counters = SimCounters{};
-  counters.wavefronts = prog.num_wavefronts;
-  const auto set_prefix = [&counters](const CounterPrefix& c) {
-    counters.input_reads = c.input_reads;
-    counters.route_writes = c.route_writes;
-    counters.lpe_computes = c.lpe_computes;
-    counters.feedback_words = c.feedback_words;
-  };
-  if (stopped_at >= 0) {
-    set_prefix(sp.counters_at[static_cast<std::size_t>(stopped_at)]);
-    throw SimCancelled("simulator run cancelled at wavefront " +
-                       std::to_string(stopped_at));
-  }
-  if (sp.error) {
-    set_prefix(sp.error_counters);
-    throw SimError(sp.error_msg);
-  }
-  set_prefix(sp.counters_at[prog.num_wavefronts]);
+  counters = sp.counters;
+  if (sp.error) throw SimError(sp.error_msg);
   complete_counters(prog, counters);
 
   const std::size_t words = (width + 63) / 64;

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -20,8 +19,7 @@ namespace lbnn {
 ///
 ///   kScalar  the original BitVec-at-a-time interpreter — one heap-backed
 ///            BitVec per register slot, eval_lut_into() per gate. Kept as the
-///            bit-exactness oracle, the same baseline pattern as
-///            hedging=false.
+///            bit-exactness oracle.
 ///   kWord64  bit-sliced: all datapath rows live in one flat scratch arena of
 ///            packed 64-bit words and each gate op evaluates 64 batch samples
 ///            per word with zero per-gate allocations. Portable fallback.
@@ -32,7 +30,7 @@ enum class SimdKernel : std::uint8_t { kScalar, kWord64, kAvx2 };
 const char* to_string(SimdKernel k);
 
 /// Called once per (wavefront, lpv) with a non-empty instruction; tests use
-/// it to observe execution and to trip cancel flags mid-run.
+/// it to observe execution order.
 using InstrHook = std::function<void(std::uint32_t wavefront, std::uint32_t lpv,
                                      const LpvInstr& instr)>;
 
@@ -54,20 +52,16 @@ class SlicedReplay {
   std::uint64_t* load(const Program& prog, const SlicedProgram& sp,
                       const std::vector<BitVec>& inputs, std::size_t words);
 
-  /// The replay loop over the loaded arena: polls `cancel` before every
-  /// covered wavefront and calls `hook` (when non-null) at each kHook op.
-  /// Returns the wavefront at which the cancel was seen, or -1 when the
-  /// stream ran out — the AOT native entry point's contract.
-  long replay(const Program& prog, const SlicedProgram& sp, std::size_t words,
-              const std::atomic<bool>* cancel, const InstrHook* hook);
+  /// The replay loop over the loaded arena: runs every covered wavefront
+  /// and calls `hook` (when non-null) at each kHook op.
+  void replay(const Program& prog, const SlicedProgram& sp, std::size_t words,
+              const InstrHook* hook);
 
-  /// Close a run that stopped at `stopped_at` (-1: ran to the end of the
-  /// stream): write the counters the scalar oracle would report, then throw
-  /// SimCancelled or the stream's SimError, or unpack one BitVec of `width`
-  /// lanes per primary output.
+  /// Close a replayed run: write the counters the scalar oracle would
+  /// report, then throw the stream's SimError, or unpack one BitVec of
+  /// `width` lanes per primary output.
   std::vector<BitVec> finish(const Program& prog, const SlicedProgram& sp,
-                             long stopped_at, std::size_t width,
-                             SimCounters& counters) const;
+                             std::size_t width, SimCounters& counters) const;
 
  private:
   std::vector<std::uint64_t> arena_;
@@ -108,16 +102,7 @@ class LpuSimulator : public ExecutorBackend {
   /// Run one batch. `inputs` holds one BitVec per primary input; all widths
   /// must be equal (each bit lane is an independent sample; the paper's
   /// datapath uses 2m lanes). Returns one BitVec per primary output.
-  ///
-  /// `cancel`, when non-null, is polled between wavefronts: once it reads
-  /// true the run throws SimCancelled instead of finishing. All run state is
-  /// per-call, so a cancelled simulator is immediately reusable. The serving
-  /// runtime's speculative hedging passes the member slot's cancel flag here
-  /// so the losing duplicate of a hedged member stops burning cycles. Every
-  /// kernel polls at the same wavefront boundary, so a cancelled run throws
-  /// at the identical point scalar or bit-sliced.
-  std::vector<BitVec> run(const std::vector<BitVec>& inputs,
-                          const std::atomic<bool>* cancel = nullptr) override;
+  std::vector<BitVec> run(const std::vector<BitVec>& inputs) override;
 
   const SimCounters& counters() const override { return counters_; }
 
@@ -153,10 +138,8 @@ class LpuSimulator : public ExecutorBackend {
 
  private:
   std::vector<BitVec> run_scalar(const std::vector<BitVec>& inputs,
-                                 const std::atomic<bool>* cancel,
                                  std::size_t width);
   std::vector<BitVec> run_compiled(const std::vector<BitVec>& inputs,
-                                   const std::atomic<bool>* cancel,
                                    std::size_t width);
   /// Staged-switch resolution of one instruction (see set_route_oracle).
   std::vector<std::uint32_t> resolve_staged(const LpvInstr& instr) const;

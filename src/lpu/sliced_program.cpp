@@ -46,9 +46,9 @@ SlicedProgram compile_sliced(const Program& prog) {
   std::vector<std::uint32_t> out_val(prog.num_primary_outputs, 0);
   std::vector<char> out_set(prog.num_primary_outputs, 0);
 
-  CounterPrefix c;
+  SimCounters& c = sp.counters;
+  c.wavefronts = W;
   sp.wave_op_end.assign(W, 0);
-  sp.counters_at.assign(static_cast<std::size_t>(W) + 1, CounterPrefix{});
   sp.num_wavefronts = W;
   sp.compiled_waves = W;
 
@@ -56,7 +56,6 @@ SlicedProgram compile_sliced(const Program& prog) {
   auto fail = [&](std::string msg) {
     sp.error = true;
     sp.error_msg = std::move(msg);
-    sp.error_counters = c;
     err = true;
   };
 
@@ -80,7 +79,6 @@ SlicedProgram compile_sliced(const Program& prog) {
   };
 
   for (std::uint32_t w = 0; w < W && !err; ++w) {
-    sp.counters_at[w] = c;
     std::fill(prev_valid.begin(), prev_valid.end(), 0);
     for (std::uint32_t j = 0; j < n && !err; ++j) {
       const LpvInstr& instr = prog.instr[w][j];
@@ -179,7 +177,6 @@ SlicedProgram compile_sliced(const Program& prog) {
   }
 
   if (!err) {
-    sp.counters_at[W] = c;
     for (std::size_t po = 0; po < out_set.size(); ++po) {
       if (!out_set[po]) {
         fail("primary output " + std::to_string(po) + " never produced");

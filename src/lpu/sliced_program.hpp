@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/program.hpp"
+#include "lpu/backend.hpp"
 
 namespace lbnn {
 
@@ -27,16 +28,6 @@ struct SlicedOp {
   std::uint8_t bits = 0;  ///< kCompute: truth table (kernel table index).
 };
 
-/// Exact counter values at a wavefront boundary (and at the compiled
-/// error's throw point): a cancelled or failed run must report the same
-/// partial counters the interpreter would have accumulated.
-struct CounterPrefix {
-  std::uint64_t input_reads = 0;
-  std::uint64_t route_writes = 0;
-  std::uint64_t lpe_computes = 0;
-  std::uint64_t feedback_words = 0;
-};
-
 /// The Program lowered to its flat replay stream — the shared IR behind
 /// every non-scalar executor backend: the replay interpreter runs it
 /// (SlicedReplay, behind both the bit-sliced LpuSimulator and the AOT
@@ -48,7 +39,7 @@ struct CounterPrefix {
 /// routes, register holds, feedback words, output taps and buf /
 /// constant-false gates are resolved at lowering time, and gates no primary
 /// output depends on are dropped. The LPU counters still model the hardware
-/// (they come from counters_at, not from the ops).
+/// (they come from `counters`, not from the ops).
 ///
 /// Arena row layout:
 ///   row 0                 always-zero (invalid-but-ignored operands, and
@@ -61,7 +52,6 @@ struct CounterPrefix {
 struct SlicedProgram {
   std::vector<SlicedOp> ops;
   std::vector<std::uint32_t> wave_op_end;  ///< ops end per wavefront
-  std::vector<CounterPrefix> counters_at;  ///< before wavefront w; [W] = final
   std::uint32_t num_rows = 0;              ///< arena rows (zero|in|values)
   std::vector<std::uint32_t> out_rows;     ///< row of each primary output
   std::uint32_t num_wavefronts = 0;  ///< the program's wavefront count
@@ -71,14 +61,17 @@ struct SlicedProgram {
   /// and partial counters included) after the covered wavefronts.
   bool error = false;
   std::string error_msg;
-  CounterPrefix error_counters;
+  /// The counters every run reports, as the interpreter accumulates them:
+  /// the wavefront count and the route/compute/feedback tallies of the whole
+  /// program, or of the part before the error's throw point. The derived
+  /// cycle and utilization fields are left 0; a completed run fills them.
+  SimCounters counters;
 };
 
 /// Lower `prog` into its replay stream. The walk mirrors the scalar
 /// interpreter statement for statement — where the interpreter would throw,
 /// the stream is truncated and the executor replays the throw at the same
-/// point (cancel checks for the covered wavefronts still come first, so a
-/// cancel that lands earlier still wins, exactly as in the interpreter).
+/// point.
 SlicedProgram compile_sliced(const Program& prog);
 
 }  // namespace lbnn

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -32,69 +31,20 @@ struct Request {
   bool expired = false;
 };
 
-/// Result-claim states of one member execution slot (MemberSlot::claim).
-/// Forward-only: pending -> running (a worker claimed the member off the
-/// batch cursor and started it) -> hedged (an idle worker launched a
-/// speculative duplicate of the batch's last unfinished member) -> done
-/// (exactly one executor won the result slot; the loser discards its
-/// output). running -> done skips the hedged state when no duplicate was
-/// ever launched.
-enum class MemberClaim : std::uint8_t {
-  kPending = 0,
-  kRunning = 1,
-  kHedged = 2,
-  kDone = 3,
-};
-
 /// Per-member execution slot of a sealed batch. The engine dispatches one
-/// work item per assembly member; the executor that WINS member i's result
-/// claim fills slot i (disjoint indices, so no lock on the data plane — the
-/// batch's completion latch orders every slot write before finalize reads
-/// them for stats). The atomic fields are the hedging plane: they are the
-/// only ones touched by more than one thread at a time (a hedger reads
-/// started_at_us and CASes claim while the original executor runs).
+/// work item per assembly member, and the batch cursor hands each member to
+/// exactly one worker; that worker alone fills slot i (disjoint indices, so
+/// no lock on the data plane — the batch's completion latch orders every
+/// slot write before finalize reads them for stats).
 struct MemberSlot {
   bool ran = false;           ///< the member's simulator actually executed
   bool stolen = false;        ///< executed by a worker other than the batch claimer
-  bool hedge_won = false;     ///< the winning executor was the hedge duplicate
-  /// BackendKind the winning executor ran (see lpu/backend.hpp) — scalar or
-  /// sliced interpreter before an AOT promotion, native after it.
+  /// BackendKind the executor ran (see lpu/backend.hpp) — scalar or sliced
+  /// interpreter before an AOT promotion, native after it.
   std::uint8_t backend = 0;
-  std::uint64_t service_us = 0;  ///< winner's simulator (+ member hook) service time
+  std::uint64_t service_us = 0;  ///< simulator (+ member hook) service time
   std::int64_t done_at_us = 0;   ///< completion stamp; straggler gap = max - min
-  SimCounters sim;               ///< the winning run's simulator counters
-
-  /// Result-claim state machine; see MemberClaim. The winning transition to
-  /// kDone is the exactly-once point: whoever makes it owns every plain
-  /// field above, the outputs slice, and the completion-latch decrement.
-  std::atomic<std::uint8_t> claim{static_cast<std::uint8_t>(MemberClaim::kPending)};
-  /// When the first executor started (us since clock epoch); the hedge
-  /// trigger compares it against hedge_factor x the service EWMA.
-  std::atomic<std::int64_t> started_at_us{0};
-  /// Set by the claim winner: tells the losing duplicate's simulator run to
-  /// abandon the batch cooperatively (LpuSimulator::run's cancel flag).
-  std::atomic<bool> cancel{false};
-
-  MemberSlot() = default;
-  /// Copyable for container pre-sizing only (Batcher::finish): slots are
-  /// copied strictly before publication, never while executors race.
-  MemberSlot(const MemberSlot& other) { *this = other; }
-  MemberSlot& operator=(const MemberSlot& other) {
-    ran = other.ran;
-    stolen = other.stolen;
-    hedge_won = other.hedge_won;
-    backend = other.backend;
-    service_us = other.service_us;
-    done_at_us = other.done_at_us;
-    sim = other.sim;
-    claim.store(other.claim.load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
-    started_at_us.store(other.started_at_us.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-    cancel.store(other.cancel.load(std::memory_order_relaxed),
-                 std::memory_order_relaxed);
-    return *this;
-  }
+  SimCounters sim;               ///< the run's simulator counters
 };
 
 /// A sealed batch, ready to run: 1 <= requests.size() <= lane capacity, with

@@ -48,25 +48,6 @@ std::string make_private_artifact_dir() {
   return dir.string();
 }
 
-constexpr std::uint8_t claim_value(MemberClaim c) {
-  return static_cast<std::uint8_t>(c);
-}
-
-/// The exactly-once transition of a member's result slot: kRunning -> kDone
-/// (no duplicate was ever launched) or kHedged -> kDone (this copy beat the
-/// other one). Whoever wins owns the slot's plain fields, the outputs slice,
-/// and the completion-latch decrement; a false return means the other copy
-/// already resolved the member and this copy's output must be discarded.
-bool claim_result(MemberSlot& slot) {
-  std::uint8_t expected = claim_value(MemberClaim::kRunning);
-  if (slot.claim.compare_exchange_strong(expected, claim_value(MemberClaim::kDone))) {
-    return true;
-  }
-  expected = claim_value(MemberClaim::kHedged);
-  return slot.claim.compare_exchange_strong(expected,
-                                            claim_value(MemberClaim::kDone));
-}
-
 /// Best case: `workers` drain `items` work items in parallel, each costing
 /// the per-item service EWMA. 0 when the EWMA is 0 (no service signal).
 std::uint64_t drain_us(std::uint64_t ewma_item_us, std::size_t items,
@@ -145,7 +126,7 @@ struct Engine::BatchWork {
   /// written by the sealing thread before the batch enters the ready queue;
   /// dispatched_at_us by the popping worker inside the scheduler critical
   /// section. Both are plain fields: every later reader acquired queue_mu
-  /// after the writer released it (pop, steal, and hedge all go through it).
+  /// after the writer released it (pop and steal both go through it).
   std::int64_t sealed_at_us = 0;
   std::int64_t dispatched_at_us = 0;
   /// Claim cursor: fetch_add hands out member indices exactly once; values
@@ -298,23 +279,11 @@ struct Engine::Impl {
   std::uint64_t vtime = 0;  ///< pass of the most recently dispatched batch
   std::uint64_t next_seq = 0;
   bool stopping = false;
-  /// Dispatched batches idle workers may steal members from (multi-member
-  /// batches) or hedge (every batch while EngineOptions::hedging is on).
-  /// Finalized husks are pruned before every scheduler pop and idle scan.
-  /// Guarded by queue_mu; the member claim itself is the atomic cursor and
-  /// the hedge claim the slot's atomic state machine, so claimers never take
-  /// this lock between members.
+  /// Dispatched multi-member batches, whose unclaimed members idle workers
+  /// may steal. Finalized husks are pruned before every scheduler pop and
+  /// idle scan. Guarded by queue_mu; the member claim itself is the atomic
+  /// cursor, so claimers never take this lock between members.
   std::vector<std::shared_ptr<Engine::BatchWork>> dispatched;
-  /// Bumped (under queue_mu) whenever idle-worker-relevant state changes
-  /// outside ready_models — a batch published for stealing, or a member
-  /// transition that creates a hedge trigger. A worker parked on a
-  /// hedge-trigger deadline re-scans when the epoch moves, so stealable
-  /// work and newly eligible triggers are never slept past. Deliberately
-  /// NOT bumped when a winner sample shrinks a model's EWMA (that would put
-  /// a lock on every member completion): a parked worker's trigger can run
-  /// late by up to the EWMA shrink, a bounded latency cost, never missed
-  /// work.
-  std::uint64_t wake_epoch = 0;
   /// Test instrumentation (see Engine::set_dispatch_hook /
   /// set_member_hook). Guarded by queue_mu; workers grab the shared_ptr
   /// during the pop/steal critical section and invoke outside all locks.
@@ -768,8 +737,8 @@ bool Engine::unload(const ModelHandle& model) {
     // Fold the model's full stats history into the persistent retired
     // aggregate BEFORE the registry erase: stats_snapshot() reads the pair
     // under the same lock, so no snapshot sees the row gone but the fold
-    // missing. Events that land later (a hedge loser returning, a shed
-    // counted after admission let go of m->mu) forward to the retired row.
+    // missing. Events that land later (a shed counted after admission let
+    // go of m->mu) forward to the retired row.
     m->stats.retire_into(impl_->retired_stats);
     ++impl_->retired_models;
     impl_->registry.erase(m->id);
@@ -917,67 +886,13 @@ void Engine::prune_dispatched_locked() {
   }
 }
 
-bool Engine::try_hedge_locked(TimePoint now, std::shared_ptr<BatchWork>* work,
-                              std::size_t* member, TimePoint* next_due) {
-  auto& dispatched = impl_->dispatched;
-  for (std::size_t i = 0; i < dispatched.size(); ++i) {
-    BatchWork& candidate = *dispatched[i];
-    // Only the LAST unfinished member is hedge-eligible, and only once every
-    // member has been claimed — an unclaimed member is work for stealing,
-    // not for duplication. (members_left can hit 0 mid-scan; the next sweep
-    // collects the husk.)
-    if (candidate.members_left.load() != 1 ||
-        candidate.next_member.load(std::memory_order_relaxed) <
-            candidate.slots.size()) {
-      continue;
-    }
-    const std::uint64_t ewma =
-        candidate.model->ewma_item_us.load(std::memory_order_relaxed);
-    if (ewma == 0) {
-      // No service signal yet (cold start): a hedge threshold would be a
-      // guess, and a guessed duplicate is pure waste. Never hedge.
-      continue;
-    }
-    const std::uint64_t factor =
-        options_.hedge_factor == 0 ? 1 : options_.hedge_factor;
-    for (std::size_t s = 0; s < candidate.slots.size(); ++s) {
-      MemberSlot& slot = candidate.slots[s];
-      // kDone members are finished, kHedged already have their duplicate,
-      // kPending ones were claimed but have not published their start yet
-      // (the starter notifies queue_cv once it does).
-      if (slot.claim.load() != claim_value(MemberClaim::kRunning)) continue;
-      const TimePoint due =
-          TimePoint{} +
-          std::chrono::microseconds(
-              slot.started_at_us.load(std::memory_order_relaxed)) +
-          std::chrono::microseconds(ewma * factor);
-      if (due <= now) {
-        std::uint8_t expected = claim_value(MemberClaim::kRunning);
-        if (slot.claim.compare_exchange_strong(
-                expected, claim_value(MemberClaim::kHedged))) {
-          *work = dispatched[i];
-          *member = s;
-          return true;
-        }
-        // Lost the instant to the member finishing; nothing to duplicate.
-      } else if (*next_due == kNoDeadline || due < *next_due) {
-        *next_due = due;
-      }
-    }
-  }
-  return false;
-}
-
 bool Engine::try_steal_locked(std::shared_ptr<BatchWork>* work,
                               std::size_t* member) {
   for (const auto& entry : impl_->dispatched) {
     BatchWork& candidate = *entry;
     const std::size_t total = candidate.slots.size();
-    // A single-member batch is listed only for hedging: its one member
-    // belongs to the worker that dequeued it. Skip exhausted cursors too.
-    if (total < 2 ||
-        candidate.next_member.load(std::memory_order_relaxed) >= total) {
-      continue;
+    if (candidate.next_member.load(std::memory_order_relaxed) >= total) {
+      continue;  // exhausted cursor
     }
     // The claim races the batch's own claimer (who holds no lock): fetch_add
     // both reserves an index and detects exhaustion.
@@ -999,7 +914,6 @@ void Engine::worker_loop(std::size_t track) {
     std::shared_ptr<BatchWork> work;
     std::size_t stolen_member = 0;
     bool stolen = false;
-    bool hedge = false;
     bool published = false;
     std::shared_ptr<const std::function<void(const std::string&)>> hook;
     std::shared_ptr<const MemberHook> member_hook;
@@ -1038,17 +952,9 @@ void Engine::worker_loop(std::size_t track) {
           if (work->slots.size() > 1) {
             // Publish the batch so idle workers steal members we have not
             // claimed yet; visible before any of them can miss a wakeup
-            // (the notify below happens after this critical section), and
-            // epoch-stamped so a worker parked on a far hedge trigger
-            // re-scans instead of sleeping past stealable work.
-            ++impl_->wake_epoch;
-            published = true;
-          }
-          // Hedge candidates need no wakeup yet: a batch only matters to an
-          // idle worker once it is down to its last unfinished member, and
-          // run_member notifies at exactly that transition.
-          if (published || options_.hedging) {
+            // (the notify below happens after this critical section).
             impl_->dispatched.push_back(work);
+            published = true;
           }
           hook = impl_->dispatch_hook;
           member_hook = impl_->member_hook;
@@ -1061,41 +967,13 @@ void Engine::worker_loop(std::size_t track) {
           member_hook = impl_->member_hook;
           break;
         }
-        // Claim phase 3: duplicate a straggling last member rather than
-        // sleep while it pins its whole batch (stealing cannot help — the
-        // member is already running, just slowly).
-        TimePoint next_due = kNoDeadline;
-        if (options_.hedging &&
-            try_hedge_locked(clock_->now(), &work, &stolen_member,
-                             &next_due)) {
-          hedge = true;
-          member_hook = impl_->member_hook;
-          break;
-        }
-        if (impl_->stopping) return;  // nothing queued, stealable, or hedged
-        if (next_due != kNoDeadline) {
-          // A batch is one straggling member away from completion but not
-          // yet past its hedge trigger: sleep until the trigger by the
-          // injected clock (a ManualClock advance lands exactly on it, so
-          // tests force or forbid the hedge precisely) — or until anything
-          // worth re-scanning appears: queued batches, newly published
-          // stealable members, or a newer/earlier hedge trigger (the
-          // wake_epoch side of the notify pairing above).
-          const std::uint64_t seen_epoch = impl_->wake_epoch;
-          clock_->wait_until(lk, impl_->queue_cv, next_due,
-                             [this, seen_epoch] {
-                               return impl_->stopping ||
-                                      !impl_->ready_models.empty() ||
-                                      impl_->wake_epoch != seen_epoch;
-                             });
-        } else {
-          impl_->queue_cv.wait(lk);
-        }
+        if (impl_->stopping) return;  // nothing queued or stealable
+        impl_->queue_cv.wait(lk);
       }
     }
     if (published) impl_->queue_cv.notify_all();
-    if (stolen || hedge) {
-      run_member(*work, stolen_member, stolen, hedge, ctx, member_hook);
+    if (stolen) {
+      run_member(*work, stolen_member, /*stolen=*/true, ctx, member_hook);
       continue;
     }
     if (hook) (*hook)(work->model->name);
@@ -1106,14 +984,13 @@ void Engine::worker_loop(std::size_t track) {
       const std::size_t member = work->next_member.fetch_add(1);
       if (member >= work->slots.size()) break;
       work->model->queued_items.fetch_sub(1, std::memory_order_relaxed);
-      run_member(*work, member, /*stolen=*/false, /*hedge=*/false, ctx,
-                 member_hook);
+      run_member(*work, member, /*stolen=*/false, ctx, member_hook);
     }
   }
 }
 
 void Engine::run_member(BatchWork& work, std::size_t member_index, bool stolen,
-                        bool hedge, WorkerContext& ctx,
+                        WorkerContext& ctx,
                         const std::shared_ptr<const MemberHook>& hook) {
   // Drop simulators of unloaded models BEFORE the lookup below: a stale
   // entry is a leak, and its key may alias a newly compiled Program.
@@ -1125,63 +1002,27 @@ void Engine::run_member(BatchWork& work, std::size_t member_index, bool stolen,
     }
   }
 
-  MemberSlot& slot = work.slots[member_index];
-  if (!hedge) {
-    emit_trace(ctx.track,
-               stolen ? TraceEventType::kMemberSteal : TraceEventType::kMemberClaim,
-               work.model->id, work.seq, static_cast<std::uint32_t>(member_index),
-               0, stolen ? kTraceFlagStolen : std::uint8_t{0});
-    // The first member claimed anywhere settles requests that are already
-    // past their deadline: their futures fail NOW, with DeadlineExceeded,
-    // and a fully-expired batch skips the simulator entirely. Later members
-    // (and hedge duplicates) follow the settler's verdict rather than
-    // re-deciding at their own, later, now — a batch the settler found live
-    // must execute every member, or live requests would receive values with
-    // unwritten output slices. Settling MUST complete before this slot is
-    // published as kRunning below: a hedge can only launch once every slot
-    // is kRunning, so ordering settle-then-publish guarantees no duplicate
-    // ever finalizes the batch concurrently with the settler failing
-    // expired promises (that race would double-resolve them).
-    if (!work.expiry_claimed.exchange(true)) {
-      if (!drop_expired_requests(work, ctx.track)) work.skip_run.store(true);
-    }
-    // Publish the execution start for hedge-candidate scans: the stamp
-    // first, then the claim state a hedger keys off.
-    slot.started_at_us.store(to_us(clock_->now()), std::memory_order_relaxed);
-    slot.claim.store(claim_value(MemberClaim::kRunning),
-                     std::memory_order_release);
-    if (options_.hedging && work.members_left.load() == 1) {
-      // This is the batch's last unfinished member: idle workers may now
-      // have a hedge trigger to time. The epoch bump under queue_mu pairs
-      // with the hedge-wait predicate — without it, a worker that just
-      // scanned this slot as kPending (or is parked on a stale, later
-      // trigger) could sleep through the transition.
-      {
-        std::lock_guard<std::mutex> lk(impl_->queue_mu);
-        ++impl_->wake_epoch;
-      }
-      impl_->queue_cv.notify_all();
-    }
-  } else {
-    // The hedge ledger records the launch before the hook runs, so a test
-    // gating the duplicate still observes hedges_launched == 1.
-    work.model->stats.record([](StatsRecord& s) { ++s.hedges_launched; });
-    emit_trace(ctx.track, TraceEventType::kHedgeLaunch, work.model->id, work.seq,
-               static_cast<std::uint32_t>(member_index), 0, kTraceFlagHedge);
+  emit_trace(ctx.track,
+             stolen ? TraceEventType::kMemberSteal : TraceEventType::kMemberClaim,
+             work.model->id, work.seq, static_cast<std::uint32_t>(member_index),
+             0, stolen ? kTraceFlagStolen : std::uint8_t{0});
+  // The first member claimed anywhere settles requests that are already
+  // past their deadline: their futures fail NOW, with DeadlineExceeded,
+  // and a fully-expired batch skips the simulator entirely. Later members
+  // follow the settler's verdict rather than re-deciding at their own,
+  // later, now — a batch the settler found live must execute every member,
+  // or live requests would receive values with unwritten output slices.
+  if (!work.expiry_claimed.exchange(true)) {
+    if (!drop_expired_requests(work, ctx.track)) work.skip_run.store(true);
   }
   const bool skip = work.skip_run.load();
 
+  // The cursor handed this member to this worker alone: it owns the slot,
+  // the member's outputs slice, and one completion-latch decrement.
+  MemberSlot& slot = work.slots[member_index];
   const ModelState::Member& member = work.model->members[member_index];
-  bool resolved = false;       ///< this copy won the member's result slot
-  std::uint64_t wasted_us = 0;
   if (!skip) {
     const TimePoint t0 = clock_->now();
-    const auto elapsed_us = [&]() -> std::uint64_t {
-      const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                          clock_->now() - t0)
-                          .count();
-      return us > 0 ? static_cast<std::uint64_t>(us) : 0;
-    };
     try {
       // Pick the member's backend ONCE per run: a promotion that lands while
       // this run executes takes effect on the next one. The artifact
@@ -1217,88 +1058,51 @@ void Engine::run_member(BatchWork& work, std::size_t member_index, bool stolen,
       // The member hook is inside the timed region on purpose: benches use
       // it to give one member an artificial straggler delay, and that delay
       // must show up in the service EWMA and member percentiles.
-      if (hook) (*hook)(work.model->name, member_index, hedge);
-      // Under hedging the slot's cancel flag stops the losing copy between
-      // wavefronts once the winner has claimed the result.
-      std::vector<BitVec> out = exec->run(*in, &slot.cancel);
-      const std::uint64_t service_us = elapsed_us();
-      if (claim_result(slot)) {
-        resolved = true;
-        // Tell the other copy (if one is running) its result is moot.
-        slot.cancel.store(true);
-        slot.ran = true;
-        slot.sim = exec->counters();
-        slot.stolen = stolen;
-        slot.hedge_won = hedge;
-        slot.backend = static_cast<std::uint8_t>(exec->backend_kind());
-        slot.service_us = service_us;
-        // Feed the admission shedder's per-item service EWMA — winner
-        // samples only, so a hedged-away straggler does not teach the
-        // estimate a service time nobody has to wait for anymore.
-        // Sub-microsecond samples are dropped rather than rounded up: under
-        // a ManualClock the simulator takes zero manual time, and learning
-        // a fake floor there would make deterministic tests shed
-        // nondeterministically.
-        if (service_us > 0) {
-          ModelState& model_state = *work.model;
-          const std::uint64_t prev =
-              model_state.ewma_item_us.load(std::memory_order_relaxed);
-          model_state.ewma_item_us.store(
-              prev == 0 ? service_us : (3 * prev + service_us) / 4,
-              std::memory_order_relaxed);
-        }
+      if (hook) (*hook)(work.model->name, member_index);
+      std::vector<BitVec> out = exec->run(*in);
+      const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
+                          clock_->now() - t0)
+                          .count();
+      const std::uint64_t service_us =
+          us > 0 ? static_cast<std::uint64_t>(us) : 0;
+      slot.ran = true;
+      slot.sim = exec->counters();
+      slot.stolen = stolen;
+      slot.backend = static_cast<std::uint8_t>(exec->backend_kind());
+      slot.service_us = service_us;
+      // Feed the admission shedder's per-item service EWMA. Sub-microsecond
+      // samples are dropped rather than rounded up: under a ManualClock the
+      // simulator takes zero manual time, and learning a fake floor there
+      // would make deterministic tests shed nondeterministically.
+      if (service_us > 0) {
+        ModelState& model_state = *work.model;
+        const std::uint64_t prev =
+            model_state.ewma_item_us.load(std::memory_order_relaxed);
+        model_state.ewma_item_us.store(
+            prev == 0 ? service_us : (3 * prev + service_us) / 4,
+            std::memory_order_relaxed);
+      }
 
-        if (member.po_indices != nullptr) {
-          for (std::size_t i = 0; i < out.size(); ++i) {
-            work.outputs[(*member.po_indices)[i]] = std::move(out[i]);
-          }
-        } else {
-          for (std::size_t i = 0; i < out.size(); ++i) {
-            work.outputs[i] = std::move(out[i]);
-          }
+      if (member.po_indices != nullptr) {
+        for (std::size_t i = 0; i < out.size(); ++i) {
+          work.outputs[(*member.po_indices)[i]] = std::move(out[i]);
         }
       } else {
-        wasted_us = service_us;
+        for (std::size_t i = 0; i < out.size(); ++i) {
+          work.outputs[i] = std::move(out[i]);
+        }
       }
-    } catch (const SimCancelled&) {
-      // The other copy won mid-run and flipped our cancel flag; everything
-      // this copy burned is hedge waste.
-      wasted_us = elapsed_us();
     } catch (const std::exception& e) {
-      // A failing copy may only fail the batch if it owns the result slot —
-      // when a duplicate is in flight, the other copy can still succeed.
-      if (claim_result(slot)) {
-        resolved = true;
-        slot.cancel.store(true);
-        std::lock_guard<std::mutex> lk(work.error_mu);
-        work.failed.store(true);
-        if (work.error.empty()) work.error = e.what();
-      } else {
-        wasted_us = elapsed_us();
-      }
+      std::lock_guard<std::mutex> lk(work.error_mu);
+      work.failed.store(true);
+      if (work.error.empty()) work.error = e.what();
     }
-  } else {
-    // Fully-expired batch: no simulator work, but the member must still be
-    // resolved exactly once (a hedge duplicate may race us even here).
-    resolved = claim_result(slot);
   }
 
-  if (!resolved) {
-    // Hedge loser — duplicate or original: the winner already wrote the
-    // slot and will drive (or drove) finalize. Account the discarded work
-    // and walk away; double-resolving the promises is impossible from here.
-    work.model->stats.record(
-        [wasted_us](StatsRecord& s) { s.hedge_wasted_us += wasted_us; });
-    emit_trace(ctx.track, TraceEventType::kHedgeCancel, work.model->id, work.seq,
-               static_cast<std::uint32_t>(member_index), wasted_us,
-               hedge ? kTraceFlagHedge : std::uint8_t{0});
-    return;
-  }
   slot.done_at_us = to_us(clock_->now());
   {
     std::uint8_t flags = 0;
     if (stolen) flags |= kTraceFlagStolen;
-    if (hedge) flags |= kTraceFlagHedge;
     if (skip) flags |= kTraceFlagSkipped;
     if (slot.ran &&
         slot.backend == static_cast<std::uint8_t>(BackendKind::kAotNative)) {
@@ -1307,24 +1111,7 @@ void Engine::run_member(BatchWork& work, std::size_t member_index, bool stolen,
     emit_trace(ctx.track, TraceEventType::kMemberDone, work.model->id, work.seq,
                static_cast<std::uint32_t>(member_index), slot.service_us, flags);
   }
-  if (hedge) {
-    emit_trace(ctx.track, TraceEventType::kHedgeWin, work.model->id, work.seq,
-               static_cast<std::uint32_t>(member_index), 0, kTraceFlagHedge);
-  }
-
-  const std::size_t left = work.members_left.fetch_sub(1);
-  if (left == 1) {
-    finalize(work, ctx.track);
-  } else if (left == 2 && options_.hedging) {
-    // The batch just dropped to its last unfinished member — the hedge
-    // trigger for that member starts mattering now. Same lost-wakeup pairing
-    // as above.
-    {
-      std::lock_guard<std::mutex> lk(impl_->queue_mu);
-      ++impl_->wake_epoch;
-    }
-    impl_->queue_cv.notify_all();
-  }
+  if (work.members_left.fetch_sub(1) == 1) finalize(work, ctx.track);
 }
 
 bool Engine::drop_expired_requests(BatchWork& work, std::size_t track) {
@@ -1457,7 +1244,7 @@ void Engine::set_dispatch_hook(std::function<void(const std::string&)> hook) {
 }
 
 void Engine::set_member_hook(
-    std::function<void(const std::string&, std::size_t, bool)> hook) {
+    std::function<void(const std::string&, std::size_t)> hook) {
   std::lock_guard<std::mutex> lk(impl_->queue_mu);
   if (hook) {
     impl_->member_hook = std::make_shared<const MemberHook>(std::move(hook));

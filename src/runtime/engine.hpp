@@ -118,30 +118,13 @@ struct EngineOptions {
   std::size_t cache_capacity = 16;
   /// Compile flow configuration for every load call.
   CompileOptions compile;
-  /// Speculative straggler hedging: stealing moves unstarted work, it cannot
-  /// shorten a member that is already running slowly. When an in-flight
-  /// batch is down to its LAST unfinished member and that member has been
-  /// running longer than hedge_factor x the model's per-item service EWMA,
-  /// an idle worker (nothing to dispatch or steal) launches a duplicate
-  /// execution of it. The first copy to finish wins the member's result slot
-  /// via an atomic claim (MemberSlot::claim); the loser's output is
-  /// discarded and its simulator run is cancelled cooperatively, so results
-  /// are bit-exact with single execution either way. A duplicate is pure
-  /// redundancy: it never inflates queued_items, the drain estimate, or
-  /// member_runs. Hedging needs a service signal — a model whose EWMA is
-  /// still 0 (cold start) is never hedged. false disables (the steal-only
-  /// baseline of bench/serve_hedging).
-  bool hedging = true;
-  /// Straggler threshold: hedge once the last member's running time exceeds
-  /// hedge_factor x the per-item service EWMA. 0 is treated as 1.
-  std::uint32_t hedge_factor = 4;
   /// Bit-sliced SIMD member execution: worker simulators run the packed
   /// word/AVX2 gate kernel (64-256 batch samples per gate op, flat scratch
   /// arena, runtime CPU dispatch — see lbnn::SimdKernel) instead of the
   /// BitVec-at-a-time scalar interpreter. Bit-exact either way; false keeps
-  /// the scalar oracle as the baseline for bench/serve_simd, the same
-  /// pattern as hedging=false. The LBNN_FORCE_SCALAR / LBNN_NO_AVX2
-  /// environment overrides apply on top (CI's forced-fallback legs).
+  /// the scalar oracle as the baseline for bench/serve_simd. The
+  /// LBNN_FORCE_SCALAR / LBNN_NO_AVX2 environment overrides apply on top
+  /// (CI's forced-fallback legs).
   bool simd = true;
   /// AOT-compiled member execution behind the executor seam. Each load also
   /// kicks off a background codegen job (overlapping serving — requests run
@@ -169,7 +152,7 @@ struct EngineOptions {
   ClockSource* clock = nullptr;
   /// Request-lifecycle tracing (always compiled, off by default): every
   /// lifecycle transition — submit, admit/shed, seal, enqueue, dispatch,
-  /// member claim/steal, hedge launch/win/cancel, expiry, finalize — lands as
+  /// member claim/steal/done, expiry, finalize — lands as
   /// a typed event in per-worker bounded ring buffers, timestamped via the
   /// engine clock (ManualClock tests replay exact sequences). Off, the only
   /// cost is a null-pointer check per site. See Engine::export_trace /
@@ -194,11 +177,9 @@ struct EngineOptions {
 /// exerts backpressure on its own clients only. For multi-LPU models every
 /// assembly member is an independently claimable work item: the dequeuing
 /// worker claims members from the batch's atomic cursor while idle workers
-/// steal the rest, so one straggling member cannot serialize its batch. When
-/// even the last member is already running but slow, idle workers
-/// speculatively duplicate it (EngineOptions::hedging): the first copy to
-/// finish wins the member's result slot atomically and the loser is
-/// cancelled — migration moves work, hedging shortens it.
+/// steal the rest, so one straggling member cannot serialize its batch. The
+/// cursor hands out each member once, so every member runs exactly once, on
+/// the worker that claimed it.
 ///
 /// Lifecycle: load() / load_parallel() / load_async() return ref-counted
 /// ModelHandles; unload() (or evict_idle()) drains a model's outstanding
@@ -377,16 +358,14 @@ class Engine {
   /// directly assertable. nullptr clears.
   void set_dispatch_hook(std::function<void(const std::string&)> hook);
 
-  /// Called with (model name, member index, is_hedge_duplicate) right before
-  /// a member's simulator run, by whichever worker runs it (claimer, stealer,
-  /// or hedger; the flag is true only for the speculative duplicate of a
-  /// hedged member), no locks held. The time a hook spends is charged to the
-  /// executor's service time, so benches inject per-member straggler delays
-  /// with it and ManualClock tests teach the admission EWMA deterministically
-  /// by advancing the clock inside it — or gate original and duplicate at the
-  /// result-claim race exactly. nullptr clears.
+  /// Called with (model name, member index) right before a member's
+  /// simulator run, by whichever worker runs it (claimer or stealer), no
+  /// locks held. The time a hook spends is charged to the executor's service
+  /// time, so benches inject per-member straggler delays with it and
+  /// ManualClock tests teach the admission EWMA deterministically by
+  /// advancing the clock inside it. nullptr clears.
   void set_member_hook(
-      std::function<void(const std::string&, std::size_t, bool)> hook);
+      std::function<void(const std::string&, std::size_t)> hook);
 
   /// Called by evict_idle() with a model's name after the model passed the
   /// idle checks (stale last-use, zero outstanding) and before its unload()
@@ -403,7 +382,7 @@ class Engine {
   /// Worker-thread-local execution state: the simulator cache (keyed by the
   /// shared read-only Program) and its pruning position in the retired list.
   struct WorkerContext;
-  using MemberHook = std::function<void(const std::string&, std::size_t, bool)>;
+  using MemberHook = std::function<void(const std::string&, std::size_t)>;
 
   /// `track` is the worker's trace ring index (1 + worker index; 0 is the
   /// shared off-worker ring).
@@ -424,14 +403,11 @@ class Engine {
   void emit_trace(std::size_t track, TraceEventType type, std::uint64_t model_id,
                   std::uint64_t id, std::uint32_t member = 0,
                   std::uint64_t arg = 0, std::uint8_t flags = 0);
-  /// Execute one copy of a batch member: expired-request settling (first
-  /// claimant), simulator run, the atomic result claim (under hedging two
-  /// copies of the same member race it; only the winner writes the slot,
-  /// outputs, EWMA, and stats), and the completion latch (the last member to
-  /// finish finalizes the batch). `hedge` marks the speculative duplicate of
-  /// a straggling member — it skips expiry settling (the original already
-  /// did it) and records the hedge ledger instead.
-  void run_member(BatchWork& work, std::size_t member, bool stolen, bool hedge,
+  /// Execute one claimed batch member: expired-request settling (first
+  /// claimant), simulator run, the member's slot, outputs and EWMA sample,
+  /// and the completion latch (the last member to finish finalizes the
+  /// batch).
+  void run_member(BatchWork& work, std::size_t member, bool stolen,
                   WorkerContext& ctx,
                   const std::shared_ptr<const MemberHook>& hook);
   /// Claim one unclaimed member from a multi-member in-flight batch. Called
@@ -439,21 +415,10 @@ class Engine {
   bool try_steal_locked(std::shared_ptr<BatchWork>* work, std::size_t* member);
   /// Drop finalized husks (members_left == 0) from the in-flight list. Called
   /// with queue_mu held before every scheduler pop and idle scan — under
-  /// sustained load workers never reach the steal or hedge phase, and without
-  /// this sweep every finished batch would stay pinned (requests, packed
-  /// lanes, and its model's state) for the whole busy period.
+  /// sustained load workers never reach the steal phase, and without this
+  /// sweep every finished batch would stay pinned (requests, packed lanes,
+  /// and its model's state) for the whole busy period.
   void prune_dispatched_locked();
-  /// Hedge-candidate scan, called with queue_mu held by a worker with
-  /// nothing to dispatch or steal. Finds an in-flight batch whose LAST
-  /// unfinished member (members_left == 1, every member claimed) has been
-  /// running past its hedge trigger (hedge_factor x the model's service
-  /// EWMA, timed by the injected clock) and CASes its slot kRunning ->
-  /// kHedged — at most one duplicate per member, ever. Returns true with the
-  /// batch/member to duplicate; otherwise sets *next_due to the earliest
-  /// future trigger among current candidates (kNoDeadline when none), so the
-  /// caller can sleep until exactly then.
-  bool try_hedge_locked(TimePoint now, std::shared_ptr<BatchWork>* work,
-                        std::size_t* member, TimePoint* next_due);
   /// Fail already-expired requests of a just-claimed batch (first member
   /// only); returns whether any live request remains to simulate. `track` is
   /// the settling worker's trace ring.

@@ -76,9 +76,6 @@ void json_summary(std::ostream& os, const StatsSummary& r) {
   }
   os << "}";
   os << ",\"steals\":" << r.steals;
-  os << ",\"hedges_launched\":" << r.hedges_launched;
-  os << ",\"hedge_wins\":" << r.hedge_wins;
-  os << ",\"hedge_wasted_us\":" << r.hedge_wasted_us;
   os << ",\"member_p50_us\":" << r.member_p50_us;
   os << ",\"member_p99_us\":" << r.member_p99_us;
   os << ",\"straggler_gap_p50_us\":" << r.straggler_gap_p50_us;
@@ -173,12 +170,6 @@ std::string to_prometheus(const std::vector<LabelledReport>& shards) {
   }
   counter("lbnn_steals_total", "Member runs executed by a non-claimer worker",
           [](R r) { return r.steals; });
-  counter("lbnn_hedges_launched_total", "Speculative duplicates launched",
-          [](R r) { return r.hedges_launched; });
-  counter("lbnn_hedge_wins_total", "Hedges whose duplicate won the claim",
-          [](R r) { return r.hedge_wins; });
-  counter("lbnn_hedge_wasted_us_total", "Execution us burned by losing copies",
-          [](R r) { return r.hedge_wasted_us; });
   gauge("lbnn_member_latency_us_p99", "Member service time p99 (us)",
         [](R r) { return r.member_p99_us; });
   gauge("lbnn_straggler_gap_us_p99", "Batch first-to-last member gap p99 (us)",

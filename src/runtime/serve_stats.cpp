@@ -75,9 +75,6 @@ void summarize(const StatsRecord& s, double wall_seconds, StatsSummary* out) {
   out->member_runs = s.member_runs;
   out->member_runs_by_backend = s.member_runs_by_backend;
   out->steals = s.steals;
-  out->hedges_launched = s.hedges_launched;
-  out->hedge_wins = s.hedge_wins;
-  out->hedge_wasted_us = s.hedge_wasted_us;
   out->member_p50_us = s.member.percentile_us(50.0);
   out->member_p99_us = s.member.percentile_us(99.0);
   out->straggler_gap_p50_us = s.straggler_gap.percentile_us(50.0);
@@ -136,7 +133,6 @@ void StatsRecord::add_batch(const std::vector<Request>& batch,
     if (ran == 0 || slot.done_at_us > last_done) last_done = slot.done_at_us;
     ++ran;
     if (slot.stolen) ++steals;
-    if (slot.hedge_won) ++hedge_wins;
     ++member_runs_by_backend[slot.backend];
     member.record(slot.service_us);
     add_sim(sim, slot.sim, static_cast<double>(slot.sim.wavefronts));
@@ -200,9 +196,6 @@ void StatsRecord::merge(const StatsRecord& o) {
     member_runs_by_backend[b] += o.member_runs_by_backend[b];
   }
   steals += o.steals;
-  hedges_launched += o.hedges_launched;
-  hedge_wins += o.hedge_wins;
-  hedge_wasted_us += o.hedge_wasted_us;
   latency.merge(o.latency);
   member.merge(o.member);
   straggler_gap.merge(o.straggler_gap);

@@ -73,9 +73,6 @@ struct StatsRecord {
   std::uint64_t member_runs = 0;
   std::array<std::uint64_t, kNumBackendKinds> member_runs_by_backend{};
   std::uint64_t steals = 0;
-  std::uint64_t hedges_launched = 0;
-  std::uint64_t hedge_wins = 0;
-  std::uint64_t hedge_wasted_us = 0;
   LatencyHistogram latency;        ///< request submit -> result
   LatencyHistogram member;         ///< member service time
   LatencyHistogram straggler_gap;  ///< first -> last member done, >= 2 ran
@@ -88,7 +85,7 @@ struct StatsRecord {
   SimCounters sim;
 
   /// Account one finalized batch: its member slots (runs by backend,
-  /// steals, hedge wins, service times, sim counters, straggler gap); then,
+  /// steals, service times, sim counters, straggler gap); then,
   /// unless every request expired before it ran, the lanes it offered and
   /// its live requests — as failed, or as completions with their latency,
   /// deadline outcome and phases. `sealed_at_us` and `dispatched_at_us` are
@@ -127,8 +124,8 @@ class ModelStats {
     rec_ = StatsRecord{};
   }
   /// Unload's fold: merge this record into `into` and forward every later
-  /// event there, so a hedge loser or a shed that lands after the model
-  /// left the registry still counts, once. snapshot() keeps reading the
+  /// event there, so a shed that lands after the model left the registry
+  /// still counts, once. snapshot() keeps reading the
   /// record as folded.
   void retire_into(ModelStats& into) {
     std::lock_guard<std::mutex> lk(mu_);
@@ -180,14 +177,6 @@ struct StatsSummary {
   std::uint64_t member_runs = 0;
   std::array<std::uint64_t, kNumBackendKinds> member_runs_by_backend{};
   std::uint64_t steals = 0;
-  /// Straggler-hedging ledger: duplicates launched against a straggling last
-  /// member (a hedged member still counts once in member_runs), duplicates
-  /// that won the result claim, and execution time burned by losing copies.
-  /// hedge_wins <= hedges_launched <= member_runs holds whenever every hedged
-  /// member actually executes (no failures/expiry skips).
-  std::uint64_t hedges_launched = 0;
-  std::uint64_t hedge_wins = 0;
-  std::uint64_t hedge_wasted_us = 0;
   /// Member service-time percentiles (bench/serve_simd gates on these), and
   /// the batch straggler gap — first to last member completing, recorded for
   /// batches with >= 2 executed members (stealing exists to shrink it).
@@ -217,6 +206,9 @@ struct ModelReport : StatsSummary {
 struct ServeReport : StatsSummary {
   double wall_seconds = 0.0;
   double requests_per_sec = 0.0;
+  /// Always 0: every member runs exactly once. Kept only because
+  /// bench/lbnn_bench still reports it as engine.hedges_launched.
+  std::uint64_t hedges_launched = 0;
   /// One row per currently loaded model (load order). Models unloaded since
   /// startup are folded into one persistent "(retired)" row at the end, so
   /// metrics spanning an unload or version flip keep their history.

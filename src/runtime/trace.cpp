@@ -47,9 +47,6 @@ const char* to_string(TraceEventType type) {
     case TraceEventType::kMemberClaim: return "member_claim";
     case TraceEventType::kMemberSteal: return "member_steal";
     case TraceEventType::kMemberDone: return "member_done";
-    case TraceEventType::kHedgeLaunch: return "hedge_launch";
-    case TraceEventType::kHedgeWin: return "hedge_win";
-    case TraceEventType::kHedgeCancel: return "hedge_cancel";
     case TraceEventType::kExpire: return "expire";
     case TraceEventType::kRequestDone: return "request_done";
     case TraceEventType::kFinalize: return "finalize";
@@ -180,7 +177,6 @@ void Tracer::export_chrome_events(std::ostream& os, int pid,
     write_json_string(os, model_name(ev.model_id));
     os << ",\"id\":" << ev.id << ",\"arg\":" << ev.arg << ",\"seq\":" << ev.seq;
     if (ev.flags & kTraceFlagStolen) os << ",\"stolen\":true";
-    if (ev.flags & kTraceFlagHedge) os << ",\"hedge\":true";
     if (ev.flags & kTraceFlagExpired) os << ",\"expired\":true";
     if (ev.flags & kTraceFlagFailed) os << ",\"failed\":true";
     if (ev.flags & kTraceFlagSkipped) os << ",\"skipped\":true";

@@ -16,7 +16,7 @@ namespace lbnn::runtime {
 /// Typed request-lifecycle trace events. One event per state transition a
 /// request (or its batch) makes on its way through the engine, so a single
 /// drained stream replays the whole schedule: who sealed what, which worker
-/// dispatched it, which members were stolen or hedged, and when every future
+/// dispatched it, which members were stolen, and when every future
 /// resolved. The taxonomy mirrors the scheduling ladder exactly — if a p99
 /// regresses, the gap between two adjacent event types names the phase that
 /// ate the budget.
@@ -30,9 +30,6 @@ enum class TraceEventType : std::uint8_t {
   kMemberClaim,   ///< the dispatching worker claimed a member off the cursor
   kMemberSteal,   ///< an idle worker stole a member from an in-flight batch
   kMemberDone,    ///< a member's result slot resolved; arg = service_us
-  kHedgeLaunch,   ///< idle worker launched a duplicate of a straggling member
-  kHedgeWin,      ///< the duplicate beat the original to the result claim
-  kHedgeCancel,   ///< a losing copy settled; arg = wasted execution us
   kExpire,        ///< dequeue-time expiry settled requests; arg = how many
   kRequestDone,   ///< one request's future resolved; id = request id
   kFinalize,      ///< batch finalized (stats fed, futures about to resolve)
@@ -44,7 +41,6 @@ const char* to_string(TraceEventType type);
 
 /// TraceEvent::flags bits.
 constexpr std::uint8_t kTraceFlagStolen = 1u << 0;   ///< executor != batch claimer
-constexpr std::uint8_t kTraceFlagHedge = 1u << 1;    ///< the speculative duplicate
 constexpr std::uint8_t kTraceFlagExpired = 1u << 2;  ///< request failed by expiry
 constexpr std::uint8_t kTraceFlagFailed = 1u << 3;   ///< request failed by batch error
 constexpr std::uint8_t kTraceFlagSkipped = 1u << 4;  ///< fully-expired batch: no sim run

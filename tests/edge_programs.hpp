@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <functional>
 #include <string>
 #include <vector>
@@ -175,8 +174,8 @@ inline std::vector<EdgeProgram> edge_programs(std::uint32_t word_width) {
                    }});
   }
   {  // A run that throws in wavefront 2 (LPV 1 routes from a lane LPV 0
-     // never computed): its stream keeps the hooks and cancel polls of the
-     // wavefronts before the throw, though no output survives to need a gate.
+     // never computed): its stream keeps the hooks of the wavefronts before
+     // the throw, though no output survives to need a gate.
     Program p = blank(2, 2, 4, {0, 1}, 2, 1, word_width);
     p.instr[0][0].routes = {in(0, 0), in(1, 1)};
     p.instr[0][0].computes = {gate(0, kAnd)};
@@ -210,13 +209,11 @@ struct Outcome {
   SimCounters counters;
 };
 
-inline Outcome run_observed(ExecutorBackend& exec, const std::vector<BitVec>& in,
-                            const std::atomic<bool>* cancel = nullptr) {
+inline Outcome run_observed(ExecutorBackend& exec,
+                            const std::vector<BitVec>& in) {
   Outcome o;
   try {
-    o.outputs = exec.run(in, cancel);
-  } catch (const SimCancelled& e) {
-    o.thrown = std::string("SimCancelled: ") + e.what();
+    o.outputs = exec.run(in);
   } catch (const SimError& e) {
     o.thrown = std::string("SimError: ") + e.what();
   }

@@ -2,10 +2,9 @@
 //
 // Three layers under test. (1) Backend equivalence: the AOT executor is
 // bit-exact with the scalar oracle — outputs, counters (including the
-// partial prefix after a cancel), SimError messages, and the wavefront
-// boundary SimCancelled lands on — on its native entry point, on the replay
-// it falls back to for off-width batches, and over an artifact without
-// native code. (2) Artifact lifecycle: content-keyed disk cache, warm
+// partial counters of a run that throws) and SimError messages — on its
+// native entry point, on the replay it falls back to for off-width batches,
+// and over an artifact without native code. (2) Artifact lifecycle: content-keyed disk cache, warm
 // restarts with ZERO recompiles, corrupted/truncated artifacts rejected and
 // rebuilt, concurrent builders sharing one directory. (3) Serving
 // integration: background codegen overlapping live traffic, atomic mid-run
@@ -234,56 +233,6 @@ TEST(AotDiff, EnvSeedSweep) {
   }
 }
 
-// A pre-set cancel flag must land as SimCancelled at wavefront 0 with the
-// interpreter's exact message and an all-zero counter prefix — from the
-// native entry point and from the off-width replay. (Mid-run flips are
-// poll-timing dependent; the boundary contract itself is deterministic at
-// wavefront 0, and the counter-prefix tables both read are the same ones
-// the interpreter diff already pins per-wave.)
-TEST(AotDiff, CancelLandsAtSameWavefrontBoundary) {
-  TempDir dir("cancel");
-  const AotCase c = random_case(71);
-  Rng rng(42);
-  // 96 lanes is off-width for the native code (specialized to the nominal
-  // 1-word rows); the nominal width runs the native entry point.
-  const std::vector<BitVec> in = random_inputs(c.nl, 96, rng);
-  const std::vector<BitVec> nominal = random_inputs(
-      c.nl, c.res.program.cfg.effective_word_width(), rng);
-
-  auto cancelled_what = [&](ExecutorBackend& exec,
-                            const std::vector<BitVec>& in) {
-    std::atomic<bool> cancel{true};
-    std::string what;
-    try {
-      exec.run(in, &cancel);
-    } catch (const SimCancelled& e) {
-      what = e.what();
-    }
-    EXPECT_FALSE(what.empty()) << "run was not cancelled";
-    EXPECT_EQ(exec.counters().lpe_computes, 0u);
-    EXPECT_EQ(exec.counters().route_writes, 0u);
-    // A cancelled executor is immediately reusable with nothing leaked.
-    cancel.store(false);
-    EXPECT_EQ(exec.run(in, &cancel), simulate(c.nl, in));
-    return what;
-  };
-
-  LpuSimulator scalar(c.res.program, /*simd=*/false);
-  const std::string want = cancelled_what(scalar, in);
-  EXPECT_NE(want.find("wavefront 0"), std::string::npos) << want;
-
-  if (native_reachable()) {
-    aot::AotOptions nopt;
-    nopt.artifact_dir = dir.path();
-    auto native = std::make_shared<const aot::ProgramArtifact>(
-        aot::compile_artifact(c.res.program, nopt));
-    ASSERT_EQ(native->kind, BackendKind::kAotNative);
-    aot::AotExecutor nexec(c.res.program, native);
-    EXPECT_EQ(cancelled_what(nexec, nominal), want);  // native entry point
-    EXPECT_EQ(cancelled_what(nexec, in), want);       // off-width replay
-  }
-}
-
 // Invalid programs: the sliced stream truncates at the fault and the host
 // replays the SimError after the native code ran the covered wavefronts; it
 // must surface the scalar oracle's exact message. (Same bad-program family
@@ -357,8 +306,7 @@ TEST(AotDiff, ErrorMessagesMatchScalar) {
 // interpreter side is SimdDiff.EdgeProgramsMatchAcrossKernels) through the
 // native entry point. Artifacts specialized to 1 and 5 words run natively at
 // 1/63/64 and 257 lanes; the other widths replay. Outputs, counters and the
-// SimError text must match the scalar oracle, and a cancel set before the
-// run must land at wavefront 0 (artifacts have no hooks to trip one later).
+// SimError text must match the scalar oracle.
 TEST(AotDiff, EdgeProgramsMatchScalar) {
   if (!native_reachable()) GTEST_SKIP() << "no native compiler reachable";
   TempDir dir("edge");
@@ -382,9 +330,6 @@ TEST(AotDiff, EdgeProgramsMatchScalar) {
           EXPECT_EQ(want.outputs, e.expect(in));
         }
         edge::expect_same(want, edge::run_observed(exec, in));
-        const std::atomic<bool> cancel{true};
-        edge::expect_same(edge::run_observed(scalar, in, &cancel),
-                          edge::run_observed(exec, in, &cancel));
       }
     }
   }
@@ -599,7 +544,6 @@ runtime::EngineOptions aot_engine_options(const std::string& dir) {
   opt.aot = true;
   opt.artifact_dir = dir;
   // Keep the backend-count assertions exact: no speculative duplicates.
-  opt.hedging = false;
   return opt;
 }
 

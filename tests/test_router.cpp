@@ -17,9 +17,9 @@
 //      shed counted per refused request (the p2c loser is never retried on
 //      kDeadlineUnmeetable).
 //
-// The EWMA-teaching idiom comes from test_hedging: the member hook advances
-// the ManualClock 1 ms inside a member run, so the admission plane learns a
-// known service time without any wall-clock dependence. This file is in the
+// The EWMA-teaching idiom: the member hook advances the ManualClock 1 ms
+// inside a member run, so the admission plane learns a known service time
+// without any wall-clock dependence. This file is in the
 // CI TSan set (with LBNN_FORCE_TRACING=1): routing, rebalancing, and the
 // trace rings must be race-clean together.
 
@@ -64,9 +64,9 @@ Netlist small_grid(std::uint64_t seed) {
   return reconvergent_grid(8, 4, gen);
 }
 
-/// One-shot barrier for parking executors inside the member hook (the
-/// test_hedging idiom): arm() before the run, wait_here() from the hook,
-/// await_arrivals() to rendezvous, release() to let them through.
+/// One-shot barrier for parking executors inside the member hook: arm()
+/// before the run, wait_here() from the hook, await_arrivals() to
+/// rendezvous, release() to let them through.
 class Gate {
  public:
   void arm() {
@@ -129,7 +129,7 @@ struct TeachingHook {
                       ///< teaching can rendezvous before time moves
   std::atomic<int> runs{0};
 
-  void operator()(const std::string&, std::size_t, bool) {
+  void operator()(const std::string&, std::size_t) {
     if (!teaching.load(std::memory_order_acquire)) return;
     gate.wait_here();
     clock->advance(1ms);
@@ -498,8 +498,9 @@ TEST(Router, FleetTotalsAreMergedShardRecords) {
                          std::chrono::microseconds service) {
     runtime::Engine& engine = router.shard(shard);
     const runtime::ModelHandle h = engine.load("m", nl);
-    engine.set_member_hook([&fx, service](const std::string&, std::size_t,
-                                          bool) { fx.clock.advance(service); });
+    engine.set_member_hook([&fx, service](const std::string&, std::size_t) {
+      fx.clock.advance(service);
+    });
     for (int b = 0; b < batches; ++b) {
       std::vector<std::future<std::vector<bool>>> futs;
       for (std::size_t i = 0; i < kLanes; ++i) futs.push_back(engine.submit(h, bits));
@@ -527,9 +528,6 @@ TEST(Router, FleetTotalsAreMergedShardRecords) {
       {"deadline_met", &S::deadline_met},
       {"member_runs", &S::member_runs},
       {"steals", &S::steals},
-      {"hedges_launched", &S::hedges_launched},
-      {"hedge_wins", &S::hedge_wins},
-      {"hedge_wasted_us", &S::hedge_wasted_us},
   };
   for (const auto& [name, field] : counters) {
     const std::uint64_t sum = rep.per_shard[0].*field + rep.per_shard[1].*field;

@@ -639,6 +639,18 @@ TEST(ModelStats, RatesComeFromTheSnapshotWindow) {
   EXPECT_DOUBLE_EQ(rep.per_model[0].goodput_per_sec, 1.5);
 }
 
+// Unload folds a model's record into the retired row and forwards every
+// later event there: a shed counted after the fold lands once, in the
+// retired record, and the folded record stays as it was.
+TEST(ModelStats, EventsAfterRetireLandInRetiredRow) {
+  ModelStats model, retired;
+  model.record([](StatsRecord& s) { ++s.shed; });
+  model.retire_into(retired);
+  model.record([](StatsRecord& s) { ++s.shed; });
+  EXPECT_EQ(retired.snapshot().shed, 2u);
+  EXPECT_EQ(model.snapshot().shed, 1u);
+}
+
 // Wall-clock-derived figures (rates, goodput) are stamped off the injected
 // clock: a ManualClock makes them exact instead of host-speed-dependent, and
 // reset_stats() re-anchors the window on the same clock. The member hook
@@ -653,10 +665,9 @@ TEST(Engine, StatsRatesAreDeterministicOnManualClock) {
   eopt.compile = small_lpu();
   eopt.batch_timeout = std::chrono::hours(1);
   eopt.clock = &clock;
-  eopt.hedging = false;
   Engine engine(eopt);
   const ModelHandle grid = engine.load("grid", nl);
-  engine.set_member_hook([&](const std::string&, std::size_t, bool) {
+  engine.set_member_hook([&](const std::string&, std::size_t) {
     clock.advance(std::chrono::milliseconds(10));
   });
   const auto serve_batch = [&](TimePoint deadline) {
@@ -702,7 +713,6 @@ TEST(Engine, QueueDepthHwmKeepsThePeak) {
   eopt.compile = small_lpu();
   eopt.batch_timeout = std::chrono::hours(1);
   eopt.clock = &clock;
-  eopt.hedging = false;
   Engine engine(eopt);
   ModelOptions mopt;
   mopt.queue_bound = 128;
@@ -710,7 +720,7 @@ TEST(Engine, QueueDepthHwmKeepsThePeak) {
   std::promise<void> parked, release;
   std::shared_future<void> released = release.get_future().share();
   std::atomic<int> runs{0};
-  engine.set_member_hook([&](const std::string&, std::size_t, bool) {
+  engine.set_member_hook([&](const std::string&, std::size_t) {
     if (runs.fetch_add(1) != 0) return;
     parked.set_value();
     released.wait();
@@ -747,7 +757,6 @@ TEST(Engine, ResetStatsCoversPerModelAndRetiredRows) {
   eopt.compile = small_lpu();
   eopt.batch_timeout = std::chrono::hours(1);
   eopt.clock = &clock;
-  eopt.hedging = false;
   Engine engine(eopt);
   const ModelHandle a = engine.load("a", nl);
   const ModelHandle b = engine.load("b", nl);
@@ -803,11 +812,10 @@ TEST(Engine, FailedBatchesCloseTheBooks) {
   eopt.compile = small_lpu();
   eopt.batch_timeout = std::chrono::hours(1);
   eopt.clock = &clock;
-  eopt.hedging = false;
   Engine engine(eopt);
   const ModelHandle grid = engine.load("grid", nl);
   std::atomic<int> runs{0};
-  engine.set_member_hook([&](const std::string&, std::size_t, bool) {
+  engine.set_member_hook([&](const std::string&, std::size_t) {
     if (runs.fetch_add(1) + 1 == 2) throw std::runtime_error("injected fault");
   });
 

@@ -158,7 +158,7 @@ TEST(Cascade, RebudgetShedsStage2WhenRemainingBudgetTooSmall) {
   const ModelHandle tiny = engine.load("tiny", tiny_nl, mopt);
   const ModelHandle big = engine.load("big", big_nl, mopt);
   engine.set_member_hook(
-      [&](const std::string&, std::size_t, bool) { clock.advance(1ms); });
+      [&](const std::string&, std::size_t) { clock.advance(1ms); });
 
   const std::vector<bool> bits(tiny_nl.num_inputs(), true);
   // Teach both admission EWMAs and measure each stage's member count (T, B):

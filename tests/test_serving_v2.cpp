@@ -706,7 +706,7 @@ TEST(AdmissionV2, ParkedSubmitShedsWhenDeadlinePasses) {
   ModelOptions mopt;
   mopt.queue_bound = 4;
   const ModelHandle grid = engine.load("grid", nl, mopt);
-  engine.set_member_hook([&](const std::string&, std::size_t, bool) {
+  engine.set_member_hook([&](const std::string&, std::size_t) {
     clock.advance(std::chrono::milliseconds(2));
   });
 
@@ -990,7 +990,7 @@ TEST(AdmissionV2, OpenBatchCountsTowardDrainEstimate) {
   Engine engine(eopt);
   const ModelHandle dag = engine.load_parallel("dag", nl, 4);
 
-  engine.set_member_hook([&](const std::string&, std::size_t, bool) {
+  engine.set_member_hook([&](const std::string&, std::size_t) {
     clock.advance(std::chrono::milliseconds(1));
   });
 

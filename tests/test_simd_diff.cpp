@@ -3,8 +3,8 @@
 // The contract under test (simulator.hpp): kScalar, kWord64 and kAvx2 — the
 // scalar oracle and the replay interpreter on both word kernels — are
 // bit-exact for every program, batch width, and batch content, including
-// WHERE they throw: SimCancelled lands at the same wavefront boundary and
-// SimError carries the same message from every kernel. (The AOT executor's
+// how they fail: SimError carries the same message and the same partial
+// counters from every kernel. (The AOT executor's
 // native leg and its off-width replay are diffed in test_aot.cpp.) Programs
 // come from the real pipeline (netlist/random_circuits × the compiler),
 // widths deliberately straddle the 64-bit word boundary, and every output
@@ -17,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -176,64 +175,6 @@ TEST(SimdDiff, FeedbackPathPrograms) {
   for (const std::size_t w : {1u, 64u, 65u, 200u}) diff_at_width(c, w, rng);
 }
 
-// A cancel must surface as SimCancelled at the SAME wavefront boundary —
-// message included — no matter the kernel: the serving runtime's hedging
-// logs and trace stamps would otherwise depend on EngineOptions::simd. The
-// instr hook trips the flag at a mid-run wavefront; every kernel polls at
-// the next boundary.
-TEST(SimdDiff, CancelLandsAtSameWavefrontBoundary) {
-  Rng gen(41);
-  const DiffCase c = random_case(41);
-  const std::uint32_t waves = c.res.program.num_wavefronts;
-  ASSERT_GE(waves, 2u);
-  const std::uint32_t trip = waves / 2;
-  Rng rng(42);
-  const std::vector<BitVec> in = random_inputs(c.nl, 96, rng);
-
-  auto cancelled_what = [&](bool simd) {
-    LpuSimulator sim(c.res.program, simd);
-    std::atomic<bool> cancel{false};
-    sim.set_instr_hook([&](std::uint32_t w, std::uint32_t, const LpvInstr&) {
-      if (w == trip) cancel.store(true);
-    });
-    std::string what;
-    try {
-      sim.run(in, &cancel);
-    } catch (const SimCancelled& e) {
-      what = e.what();
-    }
-    EXPECT_FALSE(what.empty()) << "run was not cancelled";
-    // A cancelled simulator is immediately reusable, and the interrupted
-    // run must leak nothing into the next one.
-    sim.set_instr_hook(nullptr);
-    EXPECT_EQ(sim.run(in), simulate(c.nl, in));
-    return what;
-  };
-
-  const std::string scalar_what = cancelled_what(/*simd=*/false);
-  const std::string sliced_what = cancelled_what(/*simd=*/true);
-  EXPECT_EQ(scalar_what, sliced_what);
-  EXPECT_NE(scalar_what.find("wavefront " + std::to_string(trip + 1)),
-            std::string::npos)
-      << scalar_what;
-}
-
-TEST(SimdDiff, CancelBeforeFirstWavefront) {
-  const DiffCase c = random_case(51);
-  Rng rng(52);
-  const std::vector<BitVec> in = random_inputs(c.nl, 64, rng);
-  for (const bool simd : {false, true}) {
-    LpuSimulator sim(c.res.program, simd);
-    std::atomic<bool> cancel{true};
-    try {
-      sim.run(in, &cancel);
-      FAIL() << "expected SimCancelled";
-    } catch (const SimCancelled& e) {
-      EXPECT_NE(std::string(e.what()).find("wavefront 0"), std::string::npos);
-    }
-  }
-}
-
 // Invalid programs throw SimError with the same message from every kernel.
 // The bit-sliced path discovers these at construction and REPLAYS the throw
 // mid-run (the compiled-error path) — the message and the partial execution
@@ -296,9 +237,8 @@ TEST(SimdDiff, ErrorMessagesMatchAcrossKernels) {
 
 // The hand-built corners of the value walk (edge_programs.hpp) on every
 // kernel: outputs (also against each program's hand-written answer), all
-// counters, the SimError text, the hook sequence, and — with the hook
-// tripping the cancel flag in each wavefront in turn — where SimCancelled
-// lands. The widths straddle one word and the 4-word AVX2 block.
+// counters, the SimError text and the hook sequence. The widths straddle one
+// word and the 4-word AVX2 block.
 TEST(SimdDiff, EdgeProgramsMatchAcrossKernels) {
   ScopedEnvClear no_scalar_pin("LBNN_FORCE_SCALAR");
   ScopedEnvClear no_word64_pin("LBNN_NO_AVX2");
@@ -320,37 +260,29 @@ TEST(SimdDiff, EdgeProgramsMatchAcrossKernels) {
     for (const std::size_t width : {1, 63, 64, 65, 128, 257}) {
       SCOPED_TRACE("width " + std::to_string(width));
       const std::vector<BitVec> in = edge::random_batch(e.prog, width, rng);
-      // trip -1 runs to the end; trip w sets the cancel flag in wavefront w.
-      for (long trip = -1; trip < static_cast<long>(e.prog.num_wavefronts);
-           ++trip) {
-        SCOPED_TRACE("cancel tripped in wavefront " + std::to_string(trip));
-        edge::Outcome want;
-        Hooks want_hooks;
-        for (std::size_t k = 0; k < sims.size(); ++k) {
-          SCOPED_TRACE(to_string(sims[k]->kernel()));
-          std::atomic<bool> cancel{false};
-          Hooks hooks;
-          sims[k]->set_instr_hook(
-              [&](std::uint32_t w, std::uint32_t j, const LpvInstr&) {
-                hooks.emplace_back(w, j);
-                if (static_cast<long>(w) == trip) cancel.store(true);
-              });
-          const edge::Outcome got = edge::run_observed(*sims[k], in, &cancel);
-          if (k == 0) {
-            want = got;
-            want_hooks = hooks;
-            continue;
-          }
-          edge::expect_same(want, got);
-          EXPECT_EQ(want_hooks, hooks);
+      edge::Outcome want;
+      Hooks want_hooks;
+      for (std::size_t k = 0; k < sims.size(); ++k) {
+        SCOPED_TRACE(to_string(sims[k]->kernel()));
+        Hooks hooks;
+        sims[k]->set_instr_hook(
+            [&](std::uint32_t w, std::uint32_t j, const LpvInstr&) {
+              hooks.emplace_back(w, j);
+            });
+        const edge::Outcome got = edge::run_observed(*sims[k], in);
+        if (k == 0) {
+          want = got;
+          want_hooks = hooks;
+          continue;
         }
-        if (trip >= 0) continue;
-        if (e.expect) {
-          EXPECT_EQ(want.thrown, "");
-          EXPECT_EQ(want.outputs, e.expect(in));
-        } else {
-          EXPECT_EQ(want.thrown.rfind("SimError: ", 0), 0u) << want.thrown;
-        }
+        edge::expect_same(want, got);
+        EXPECT_EQ(want_hooks, hooks);
+      }
+      if (e.expect) {
+        EXPECT_EQ(want.thrown, "");
+        EXPECT_EQ(want.outputs, e.expect(in));
+      } else {
+        EXPECT_EQ(want.thrown.rfind("SimError: ", 0), 0u) << want.thrown;
       }
     }
   }

@@ -1,11 +1,10 @@
 // Request-lifecycle tracing, proven deterministic under a ManualClock: each
-// scenario forces one exact schedule (gates pin workers, manual time forces
-// or forbids triggers) and then asserts the drained event stream — not just
+// scenario forces one exact schedule (gates pin workers, manual time drives
+// every stamp) and then asserts the drained event stream — not just
 // counters — replays it. Three properties carry the suite:
 //
-//   1. exact sequences — a steal scenario and a hedge-win scenario each map
-//      to ONE legal event string, byte-identical across runs once worker
-//      tracks are normalized;
+//   1. exact sequences — the steal scenario maps to ONE legal event string,
+//      byte-identical across runs once worker tracks are normalized;
 //   2. closed books — submits == admits + sheds and admits == request-done
 //      events, on the stream itself, so the trace can audit the engine the
 //      same way the report does;
@@ -18,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <future>
@@ -61,8 +59,7 @@ Netlist wide_dag(std::uint64_t seed) {
   return random_dag(spec, gen);
 }
 
-/// One-shot barrier for pinning executors inside a hook (same idiom as
-/// test_hedging's Gate).
+/// One-shot barrier for pinning executors inside a hook.
 class Gate {
  public:
   void arm() {
@@ -78,20 +75,13 @@ class Gate {
   }
   void wait_here() {
     std::unique_lock<std::mutex> lk(mu_);
-    ++arrivals_;
-    cv_.notify_all();
     cv_.wait(lk, [&] { return !hold_; });
-  }
-  void await_arrivals(int n) {
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_.wait(lk, [&] { return arrivals_ >= n; });
   }
 
  private:
   std::mutex mu_;
   std::condition_variable cv_;
   bool hold_ = false;
-  int arrivals_ = 0;
 };
 
 /// Render an event stream as one line per event with worker tracks
@@ -146,7 +136,6 @@ std::vector<TraceEvent> run_steal_scenario() {
   eopt.compile = small_lpu();
   eopt.batch_timeout = std::chrono::hours(1);  // only lane-full seals
   eopt.clock = &clock;
-  eopt.hedging = false;  // steal-only schedule
   eopt.tracing = true;
   Engine engine(eopt);
   const ModelHandle dag = engine.load_parallel("dag", nl, 4);
@@ -275,112 +264,6 @@ TEST(TraceSteal, ByteIdenticalAcrossRuns) {
   EXPECT_EQ(a, b);
 }
 
-/// Hedge-win scenario (the test_hedging idiom, replayed on the stream): one
-/// member, two workers, EWMA pre-taught to 1000 us by a warmup batch whose
-/// events are drained away; the original parks in the member hook, a 9 ms
-/// advance forces the duplicate, which wins and finalizes while the original
-/// is still pinned; releasing it records the cancel.
-std::vector<TraceEvent> run_hedge_scenario() {
-  ManualClock clock;
-  const Netlist nl = wide_dag(501);
-  const auto expect =
-      simulate_scalar(nl, std::vector<bool>(nl.num_inputs(), true));
-  EngineOptions eopt;
-  eopt.num_workers = 2;
-  eopt.compile = small_lpu();
-  eopt.batch_timeout = std::chrono::hours(1);
-  eopt.clock = &clock;
-  eopt.hedging = true;
-  eopt.hedge_factor = 8;  // warmup-hedge-proof (see test_hedging)
-  eopt.tracing = true;
-  Engine engine(eopt);
-  const ModelHandle dag = engine.load("dag", nl);
-
-  Gate gate;
-  std::atomic<bool> script{false};
-  engine.set_member_hook([&](const std::string&, std::size_t, bool hedge) {
-    if (!script.load()) {
-      clock.advance(1ms);  // warmup: teach the EWMA exactly 1000 us
-      return;
-    }
-    if (!hedge) gate.wait_here();  // the original parks; the duplicate runs
-  });
-
-  const std::vector<bool> bits(nl.num_inputs(), true);
-  std::vector<std::future<std::vector<bool>>> warm;
-  for (std::size_t i = 0; i < kLanes; ++i) warm.push_back(engine.submit(dag, bits));
-  engine.drain();
-  for (auto& f : warm) EXPECT_EQ(f.get(), expect);
-  (void)engine.drain_trace();  // warmup events are not the scenario's
-  script.store(true);
-  gate.arm();
-
-  std::vector<std::future<std::vector<bool>>> futs;
-  for (std::size_t i = 0; i < kLanes; ++i) futs.push_back(engine.submit(dag, bits));
-  gate.await_arrivals(1);  // the original is parked, claim published
-  clock.advance(9ms);      // past started_at + 8 x 1000 us: forces the hedge
-  for (auto& f : futs) EXPECT_EQ(f.get(), expect);  // duplicate won
-
-  gate.release();  // the loser finishes, records its cancel
-  engine.shutdown();
-  return engine.drain_trace();
-}
-
-TEST(TraceHedge, ExactEventSequence) {
-  const std::vector<TraceEvent> events = run_hedge_scenario();
-
-  struct Expect {
-    TraceEventType type;
-    std::uint8_t flags;
-  };
-  std::vector<Expect> want;
-  for (std::size_t i = 0; i < kLanes; ++i) {
-    want.push_back({TraceEventType::kSubmit, 0});
-    want.push_back({TraceEventType::kAdmit, 0});
-  }
-  want.push_back({TraceEventType::kSeal, 0});
-  want.push_back({TraceEventType::kEnqueue, 0});
-  want.push_back({TraceEventType::kDispatch, 0});
-  want.push_back({TraceEventType::kMemberClaim, 0});  // the original starts
-  want.push_back({TraceEventType::kHedgeLaunch, kTraceFlagHedge});
-  want.push_back({TraceEventType::kMemberDone, kTraceFlagHedge});
-  want.push_back({TraceEventType::kHedgeWin, kTraceFlagHedge});
-  want.push_back({TraceEventType::kFinalize, 0});
-  for (std::size_t i = 0; i < kLanes; ++i) {
-    want.push_back({TraceEventType::kRequestDone, 0});
-  }
-  want.push_back({TraceEventType::kHedgeCancel, 0});  // the original, released
-
-  ASSERT_EQ(events.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(events[i].type, want[i].type) << "event " << i;
-    EXPECT_EQ(events[i].flags, want[i].flags) << "event " << i;
-  }
-
-  // The duplicate's whole span lives on a different worker ring than the
-  // original's claim; the cancel is back on the original's ring.
-  const auto find = [&](TraceEventType t) {
-    return std::find_if(events.begin(), events.end(),
-                        [t](const TraceEvent& e) { return e.type == t; });
-  };
-  const auto claim = find(TraceEventType::kMemberClaim);
-  const auto launch = find(TraceEventType::kHedgeLaunch);
-  const auto cancel = find(TraceEventType::kHedgeCancel);
-  EXPECT_NE(claim->track, launch->track);
-  EXPECT_EQ(cancel->track, claim->track);
-  // The loser was parked for the full 9 ms advance: its discarded time is on
-  // the cancel's arg.
-  EXPECT_GE(cancel->arg, 9000u);
-  expect_stream_books_close(events);
-}
-
-TEST(TraceHedge, ByteIdenticalAcrossRuns) {
-  const std::string a = render(run_hedge_scenario());
-  const std::string b = render(run_hedge_scenario());
-  EXPECT_FALSE(a.empty());
-  EXPECT_EQ(a, b);
-}
-
 // A full ring drops and counts, never blocks or corrupts: a 4-slot ring
 // under 8 batches of traffic must lose events (the count says how many), the
 // survivors must still be well-formed and seq-ordered, and every request
@@ -440,11 +323,10 @@ TEST(TracePhases, DecompositionMatchesManualSchedule) {
   eopt.compile = small_lpu();
   eopt.batch_timeout = 200us;
   eopt.clock = &clock;
-  eopt.hedging = false;
   Engine engine(eopt);
   const ModelHandle dag = engine.load("dag", nl);
   engine.set_member_hook(
-      [&](const std::string&, std::size_t, bool) { clock.advance(1ms); });
+      [&](const std::string&, std::size_t) { clock.advance(1ms); });
 
   auto fut = engine.submit(dag, std::vector<bool>(nl.num_inputs(), true));
   clock.advance(200us);  // the timekeeper seals the 1-request batch
